@@ -37,6 +37,7 @@ __all__ = [
     "delta_zero",
     "delta_dot",
     "wronskian_delta",
+    "identity_terms",
     "identity_residual",
     "robin_charfn",
     "energy_identity_residual",
@@ -112,17 +113,34 @@ def wronskian_delta(p: ReggeProblem, sign: Sign, lam, x: float, nsteps=None):
     return _unwrap(mant * np.exp(ph.sigma + ys.sigma))
 
 
+def _delta_pair(p: ReggeProblem, lam, nsteps=None):
+    """(Delta_+, Delta_-) at lam from one solve_y state, descaled."""
+    st = solve_y(p, lam, nsteps=nsteps)
+    scale = np.exp(st.sigma)
+    return tuple((st.du + _coef(p, sign, lam) * st.u) * scale
+                 for sign in (Sign.PLUS, Sign.MINUS))
+
+
+def identity_terms(p: ReggeProblem, lam, nsteps=None):
+    """The three terms of the product identity at lam:
+
+    (Delta_+(lam) Delta_+(-lam), Delta_-(lam) Delta_-(-lam), 4 a a0 lam^2).
+
+    Delta_+ and Delta_- share one integration at lam and one at -lam.
+    """
+    lam_c = np.asarray(lam, dtype=complex)
+    dp, dm = _delta_pair(p, lam_c, nsteps=nsteps)
+    dpm, dmm = _delta_pair(p, -lam_c, nsteps=nsteps)
+    return dp * dpm, dm * dmm, 4.0 * p.alpha * p.alpha0 * lam_c ** 2
+
+
 def identity_residual(p: ReggeProblem, lam, nsteps=None):
     """Delta_+(lam) Delta_+(-lam) - Delta_-(lam) Delta_-(-lam) - 4 a a0 lam^2.
 
     Vanishes identically; the residual measures solver consistency.
     """
-    lam_c = np.asarray(lam, dtype=complex)
-    dp = delta(p, Sign.PLUS, lam_c, nsteps=nsteps)
-    dpm = delta(p, Sign.PLUS, -lam_c, nsteps=nsteps)
-    dm = delta(p, Sign.MINUS, lam_c, nsteps=nsteps)
-    dmm = delta(p, Sign.MINUS, -lam_c, nsteps=nsteps)
-    return _unwrap(dp * dpm - dm * dmm - 4.0 * p.alpha * p.alpha0 * lam_c ** 2)
+    plus, minus, quad = identity_terms(p, lam, nsteps=nsteps)
+    return _unwrap(plus - minus - quad)
 
 
 def robin_charfn(p: ReggeProblem, lam, nsteps=None):

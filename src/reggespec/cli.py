@@ -33,7 +33,7 @@ from .charfn import (
     delta_zero,
     delta_zero_dot,
     energy_identity_residual,
-    identity_residual,
+    identity_terms,
     robin_charfn,
     wronskian_delta,
 )
@@ -395,14 +395,11 @@ def _disc_draws(rng, n: int, radius: float) -> np.ndarray:
 def _verify_identity(p, args, tol):
     rng = np.random.default_rng(args.seed)
     lams = _disc_draws(rng, args.count, args.lam_max)
-    res = np.abs(identity_residual(p, lams, nsteps=args.nsteps))
+    plus, minus, quad = identity_terms(p, lams, nsteps=args.nsteps)
+    res = np.abs(plus - minus - quad)
     # relative to the largest competing term of the identity
-    dp = np.abs(delta(p, Sign.PLUS, lams, nsteps=args.nsteps)
-                * delta(p, Sign.PLUS, -lams, nsteps=args.nsteps))
-    dm = np.abs(delta(p, Sign.MINUS, lams, nsteps=args.nsteps)
-                * delta(p, Sign.MINUS, -lams, nsteps=args.nsteps))
-    quad = np.abs(4.0 * p.alpha * p.alpha0 * lams ** 2)
-    scale = np.maximum(1.0, np.maximum(quad, np.maximum(dp, dm)))
+    scale = np.maximum(1.0, np.maximum(np.abs(quad), np.maximum(
+        np.abs(plus), np.abs(minus))))
     rel = res / scale
     rows = [f"{_g(z.real)},{_g(z.imag)},{_g(r)},{_g(s)}"
             for z, r, s in zip(lams, res, rel)]

@@ -24,6 +24,7 @@ from .errors import (
     MultiplicityCap,
     NewtonDivergence,
     NoConvergence,
+    Overflow,
     SignViolation,
 )
 from .model import ReggeProblem, Sign
@@ -133,6 +134,25 @@ class _BoundaryZeroMark(Exception):
     pass
 
 
+def _evaluate(f, z):
+    """f(z) as a complex array.
+
+    Overflow is left to _require_finite and Newton's own checks, which
+    report it, so numpy's overflow warnings are kept quiet here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(f(z), dtype=complex)
+
+
+def _require_finite(*values, where: str):
+    """Raise Overflow when an evaluator returned inf or nan."""
+    for vals in values:
+        if not np.all(np.isfinite(vals)):
+            raise Overflow(
+                f"characteristic function not finite on {where}; the "
+                f"integration mesh cannot represent this lambda range")
+
+
 def _initial_per_edge(rect: Rectangle, per_edge, samples_per_unit: float) -> int:
     edge = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
     auto = int(np.ceil(edge * samples_per_unit))
@@ -161,7 +181,8 @@ def _winding_multi(f, rects: list[Rectangle], per_edge=None,
               for st in state if st["done"] is None and len(st["new_ts"])]
         if zs:
             allpts = np.concatenate(zs)
-            allvals = np.asarray(f(allpts), dtype=complex)
+            allvals = _evaluate(f, allpts)
+            _require_finite(allvals, where="the winding contour")
             off = 0
             for st in state:
                 if st["done"] is None and len(st["new_ts"]):
@@ -268,29 +289,39 @@ def newton_refine(f, fprime, z0, mult=1, tol: float = 1e-12,
     a matching integer array.  Returns (z, residual, converged) arrays;
     convergence means |f| <= tol or the step size stagnated at rounding
     level with a small residual.  At least one step is always taken so a
-    multiple zero is polished past the |f| <= tol shell around it.
+    multiple zero is polished past the |f| <= tol shell around it.  f is
+    evaluated twice per iteration: f' at z, and f at the new z, which the
+    next iteration reuses.  Raises Overflow when f is not finite at the
+    seeds; an iterate at which f or f' stops being finite ends there,
+    unconverged.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=complex)).copy()
     m = np.broadcast_to(np.asarray(mult, dtype=float), z.shape)
     res = np.full(z.shape, np.inf)
     done = np.zeros(z.shape, dtype=bool)
     stag = np.zeros(z.shape, dtype=bool)
+    fz = None
     for _ in range(max_iter):
         active = ~(done | stag)
         if not np.any(active):
             break
-        fz = np.asarray(f(z), dtype=complex)
-        fpz = np.asarray(fprime(z), dtype=complex)
+        if fz is None:
+            # f at the seeds; later iterations reuse f at the last iterate
+            fz = _evaluate(f, z)
+            _require_finite(fz, where="Newton seeds")
+        fpz = _evaluate(fprime, z)
         ok = np.abs(fpz) > 0.0
         step = np.zeros_like(z)
         np.divide(m * fz, fpz, out=step, where=active & ok)
         z = z - step
-        fz_new = np.asarray(f(z), dtype=complex)
-        res = np.abs(fz_new)
+        fz = _evaluate(f, z)
+        res = np.abs(fz)
         tiny = np.abs(step) <= 1e-15 * (1.0 + np.abs(z))
         done |= (res <= tol) & tiny
         done |= (res <= tol) & (m == 1)
         stag |= tiny & ~done
+        # an iterate that left the evaluator's range cannot come back
+        stag |= ~np.isfinite(fz) | ~np.isfinite(fpz)
     converged = done | (res <= np.sqrt(tol))
     bad = ~np.isfinite(z)
     converged &= ~bad

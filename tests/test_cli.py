@@ -137,6 +137,24 @@ def test_config_error_paths(tmp_path, capsys):
                  "--threads", "0", "--out", out]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_overflowing_search_mesh_exits_3(tmp_path, capsys):
+    """Re lam ~ 3000 is beyond what the 512-step search mesh represents:
+    the characteristic function overflows, and the run refuses it as a
+    solver failure in one line, without a traceback."""
+    cfg = _cfg(tmp_path, {"a": 1.0, "alpha0": 2.0, "beta0": 0.4,
+                          "alpha": 1.5, "beta": -0.8,
+                          "potential": {"type": "zero"}, "real_data": True})
+    out = tmp_path / "far.csv"
+    rc = main(["spectrum", "--config", cfg, "--sign", "plus",
+               "--rect=2990,3010,-1,2", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure:") and "not finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_threads_env_and_determinism(tmp_path, monkeypatch):
     cfg = _cfg(tmp_path, ZERO_POT)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
