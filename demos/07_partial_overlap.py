@@ -16,17 +16,17 @@ import numpy as np
 
 from reggespec import Potential, ReggeProblem
 from reggespec.asympt import asymptotic_model
-from reggespec.charfn import delta, delta_dot
 from reggespec.model import Sign
 from reggespec.partialinv import (
     critical_diagnostics,
     density_check,
     f_mismatch_logabs,
     indicator_estimate,
+    refine_subset,
+    sparse_subset,
     weighted_deviation,
 )
 from reggespec.reconstruct import ZeroSet
-from reggespec.roots import newton_refine
 
 x = np.linspace(0.0, 1.0, 257)
 q1 = 0.5 * np.cos(2.0 * x) + 0.1
@@ -49,47 +49,16 @@ print(f"indicator profile: max excess over 2b|sin| = "
 # eigenvalue subsets: polish the full lattice, then pick out the
 # sparse subset whose rescaled members track the model lattice
 model = asymptotic_model(p1)
-
-
-def refine(sign, kmax=105):
-    ks = [k for k in range(-kmax, kmax + 1)]
-    seeds = np.array([model.predicted(sign, k) for k in ks])
-    z, _, ok = newton_refine(lambda t: delta(p1, sign, t),
-                             lambda t: delta_dot(p1, sign, t), seeds)
-    out = []
-    for k, zz, o in zip(ks, z, ok):
-        if not o or abs(zz) < 1e-9:
-            continue
-        if any(abs(zz - w) < 1e-8 * (1 + abs(zz)) for _, w in out[-3:]):
-            continue
-        out.append((k, complex(zz)))
-    return out
-
-
-full = {s: refine(s) for s in (Sign.PLUS, Sign.MINUS)}
+full = {s: refine_subset(p1, model, s, kmax=105)[0]
+        for s in (Sign.PLUS, Sign.MINUS)}
 for s in (Sign.PLUS, Sign.MINUS):
     zs = ZeroSet(zeros=[(w, 1) for _, w in full[s]])
     rep = density_check(zs, 1.0, np.array([25.0, 50.0, 100.0]) * math.pi)
     print(f"{s.name.lower():>5} spectrum density ratio at 100 pi: "
           f"{rep.ratios[-1]:.4f}  (stabilized: {rep.stabilized})")
 
-
-def sparse(sign):
-    lams = np.array([w for _, w in full[sign]])
-    reach = np.abs(lams).max() - 0.5 * math.pi
-    subset, taken = [], set()
-    for j in range(-40, 41):
-        target = model.a * model.mu(sign, j) / b
-        if abs(target) > reach or abs(target) < 1e-9:
-            continue
-        i = int(np.argmin(np.abs(lams - target)))
-        if i not in taken:
-            taken.add(i)
-            subset.append((j, complex(lams[i])))
-    return subset
-
-
-sub_p, sub_m = sparse(Sign.PLUS), sparse(Sign.MINUS)
+sub_p, sub_m = (sparse_subset(model, s, b, full[s])[0]
+                for s in (Sign.PLUS, Sign.MINUS))
 dev = weighted_deviation(sub_p, sub_m, b, b, model)
 print(f"weighted deviation of the rescaled subsets: {dev.total:.3f} "
       f"({len(sub_p)}+{len(sub_m)} members)")

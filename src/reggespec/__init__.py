@@ -24,7 +24,6 @@ from .charfn import (
     CharFnSample,
     delta,
     delta_dot,
-    delta_logabs,
     delta_scaled,
     delta_zero,
     delta_zero_dot,
@@ -56,7 +55,6 @@ from .errors import (
     Overflow,
     ReggeError,
     SignViolation,
-    ToleranceNotMet,
     TruncationDominates,
     ValidationError,
     ZeroAtOrigin,
@@ -97,6 +95,8 @@ from .partialinv import (
     density_check,
     f_mismatch_logabs,
     indicator_estimate,
+    refine_subset,
+    sparse_subset,
     weighted_deviation,
     write_critical_csv,
 )

@@ -15,13 +15,12 @@ parameters alpha0, alpha.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCase, DegenerateSigma, InconsistentInput
-from .model import ReggeProblem, Sign
+from .model import ReggeProblem, Sign, atomic_write_text
 
 __all__ = [
     "AsymptoticModel",
@@ -163,10 +162,7 @@ def write_residual_tail_csv(path: str, pairs) -> None:
     lines = ["k,re,im"]
     for k, b in pairs:
         lines.append(f"{k},{b.real:.17g},{b.imag:.17g}")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---- the leading trig polynomial ------------------------------------------

@@ -17,12 +17,11 @@ Delta_0.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ReggeProblem, Sign
+from .model import ReggeProblem, Sign, atomic_write_text
 from .odecore import (
     solve_phi,
     solve_y,
@@ -33,13 +32,13 @@ from .odecore import (
 __all__ = [
     "delta",
     "delta_scaled",
-    "delta_logabs",
     "delta_zero",
     "delta_dot",
     "wronskian_delta",
     "identity_terms",
     "identity_residual",
     "robin_charfn",
+    "energy_terms",
     "energy_identity_residual",
     "CharFnSample",
     "sample_charfn",
@@ -70,13 +69,6 @@ def delta(p: ReggeProblem, sign: Sign, lam, nsteps=None):
     """Delta_+ or Delta_- at lam (scalar or array), descaled."""
     mant, sigma = delta_scaled(p, sign, lam, nsteps=nsteps)
     return _unwrap(np.asarray(mant) * np.exp(np.asarray(sigma)))
-
-
-def delta_logabs(p: ReggeProblem, sign: Sign, lam, nsteps=None):
-    """log |Delta(lam)|, stable at large |Im lam|."""
-    mant, sigma = delta_scaled(p, sign, lam, nsteps=nsteps)
-    with np.errstate(divide="ignore"):
-        return _unwrap(np.log(np.abs(np.asarray(mant))) + np.asarray(sigma))
 
 
 def delta_zero(p: ReggeProblem, lam, nsteps=None):
@@ -153,27 +145,25 @@ def robin_charfn(p: ReggeProblem, lam, nsteps=None):
     return _unwrap((st.du + complex(p.beta) * st.u) * np.exp(st.sigma))
 
 
-def energy_identity_residual(p: ReggeProblem, lam, nsteps=None):
-    """Residual of the energy identity
+def energy_terms(p: ReggeProblem, lam, nsteps=None):
+    """The integral side and the four boundary terms of the energy identity
 
         2 lam int_0^a y^2 dx = Delta_+ Ddot_0 - Ddot_+ Delta_0
-                               + i alpha Delta_0^2 + i alpha0.
+                               + i alpha Delta_0^2 + i alpha0,
 
-    The integral uses composite Simpson on the integration mesh, so lam
-    should stay moderate (no rescaling events).
+    as (lhs, Delta_+ Ddot_0, -Ddot_+ Delta_0, i alpha Delta_0^2, i alpha0),
+    so the four boundary terms sum to the right-hand side.  All come from
+    one lambda-derivative march and the trajectory.  The integral uses
+    composite Simpson on the integration mesh, so lam should stay
+    moderate (no rescaling events).
     """
     lam_c = np.asarray(lam, dtype=complex)
     st = solve_y_lambda_derivative(p, lam_c, nsteps=nsteps)
     scale = np.exp(st.sigma)
-    y_a = st.u * scale
-    yp_a = st.du * scale
-    ydot_a = st.v * scale
-    ydotp_a = st.dv * scale
+    d0, d0_dot = st.u * scale, st.v * scale
     coef = _coef(p, Sign.PLUS, lam_c)
-    d_plus = yp_a + coef * y_a
-    d_plus_dot = ydotp_a + 1j * p.alpha * y_a + coef * ydot_a
-    d0 = y_a
-    d0_dot = ydot_a
+    d_plus = st.du * scale + coef * d0
+    d_plus_dot = st.dv * scale + 1j * p.alpha * d0 + coef * d0_dot
 
     xs, traj, _ = solve_y_trajectory(p, lam_c, nsteps=nsteps)
     m = len(xs) - 1
@@ -183,8 +173,15 @@ def energy_identity_residual(p: ReggeProblem, lam, nsteps=None):
     h = xs[1] - xs[0]
     integral = (h / 3.0) * np.tensordot(w, traj ** 2, axes=(0, 0))
 
-    rhs = d_plus * d0_dot - d_plus_dot * d0 + 1j * p.alpha * d0 ** 2 + 1j * p.alpha0
-    return _unwrap(rhs - 2.0 * lam_c * integral)
+    terms = (2.0 * lam_c * integral, d_plus * d0_dot, -(d_plus_dot * d0),
+             1j * p.alpha * d0 ** 2, np.full_like(d0, 1j * p.alpha0))
+    return tuple(_unwrap(t) for t in terms)
+
+
+def energy_identity_residual(p: ReggeProblem, lam, nsteps=None):
+    """Residual rhs - lhs of the energy identity (see `energy_terms`)."""
+    lhs, t1, t2, t3, t4 = energy_terms(p, lam, nsteps=nsteps)
+    return _unwrap(t1 + t2 + t3 + t4 - lhs)
 
 
 # ---- sampling / CSV -------------------------------------------------------
@@ -214,10 +211,8 @@ def sample_charfn(p: ReggeProblem, sign: Sign, lams, with_derivative: bool = Fal
 
 def write_samples_csv(samples: list[CharFnSample], path: str) -> None:
     """Write samples atomically with 17 significant digits."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("λ_re,λ_im,value_re,value_im\n")
-        for s in samples:
-            fh.write(f"{s.lam.real:.17g},{s.lam.imag:.17g},"
-                     f"{s.value.real:.17g},{s.value.imag:.17g}\n")
-    os.replace(tmp, path)
+    lines = ["λ_re,λ_im,value_re,value_im"]
+    for s in samples:
+        lines.append(f"{s.lam.real:.17g},{s.lam.imag:.17g},"
+                     f"{s.value.real:.17g},{s.value.imag:.17g}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -7,16 +7,13 @@ round-trip losslessly; every file is written to a temporary name in the
 same directory and renamed, so a failing run leaves no partial artifacts.
 
 Runs are deterministic: the only randomness is the generator seeded by
---seed in `verify`, and --threads (REGGE_THREADS as fallback) only caps
-worker parallelism inside library calls; it never changes results or
-output bytes.
+--seed in `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -26,13 +23,13 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .model import ReggeProblem, Sign, load_problem
+from .model import ReggeProblem, Sign, atomic_write_text, load_problem
 from .charfn import (
     delta,
     delta_dot,
     delta_zero,
     delta_zero_dot,
-    energy_identity_residual,
+    energy_terms,
     identity_terms,
     robin_charfn,
     wronskian_delta,
@@ -46,7 +43,6 @@ from .roots import (
     imaginary_axis_zeros,
     index_eigenvalues,
     interlace_and_signs,
-    newton_refine,
     pair_symmetry_check,
     write_spectrum_csv,
 )
@@ -70,6 +66,8 @@ from .partialinv import (
     density_check,
     f_mismatch_logabs,
     indicator_estimate,
+    refine_subset,
+    sparse_subset,
     weighted_deviation,
     write_critical_csv,
 )
@@ -87,13 +85,6 @@ def _g(x) -> str:
 def _cg(z) -> str:
     z = complex(z)
     return f"{z.real:.17g} {z.imag:+.17g}i"
-
-
-def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _parse_rect(spec: str) -> Rectangle:
@@ -135,28 +126,6 @@ def _tol(args, default: float) -> float:
     if not t > 0:
         raise ValidationError(f"tolerance must be positive, got {t}")
     return t
-
-
-def _threads(args) -> int:
-    """Worker cap; kept for interface symmetry.
-
-    All library paths are vectorized in-process, so the value never
-    influences numbers or output bytes (the determinism contract).
-    """
-    n = args.threads
-    if n is None:
-        env = os.environ.get("REGGE_THREADS")
-        if env is not None:
-            try:
-                n = int(env)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"REGGE_THREADS must be an integer, got {env!r}") from exc
-    if n is None:
-        return 1
-    if n < 1:
-        raise ValidationError(f"--threads must be >= 1, got {n}")
-    return n
 
 
 def _need(value, flag: str):
@@ -328,7 +297,6 @@ def _interior_spectrum(p: ReggeProblem, rect: Rectangle, tol: float,
 
 def cmd_spectrum(args) -> int:
     p = _load(args)
-    _threads(args)
     tol = _tol(args, 1e-12)
     model = asymptotic_model(p, strict=False)
     interior = args.sign == "interior"
@@ -366,7 +334,7 @@ def cmd_spectrum(args) -> int:
                 pr_re, pr_im = _g(pr.real), _g(pr.imag)
             lines.append(f"{ktxt},{_g(e.lam.real)},{_g(e.lam.imag)},"
                          f"{e.multiplicity},{_g(e.residual)},{pr_re},{pr_im}")
-        _write_text(out, "\n".join(lines) + "\n")
+        atomic_write_text(out, "\n".join(lines) + "\n")
     else:
         write_spectrum_csv(spec, out)
 
@@ -375,8 +343,8 @@ def cmd_spectrum(args) -> int:
         overlay = []
         if args.overlay and not interior:
             overlay = _lattice_overlay(p, model, sign, rect)
-        _write_text(args.svg, _svg_scatter(pts, overlay,
-                                           f"spectrum ({args.sign})"))
+        atomic_write_text(args.svg, _svg_scatter(pts, overlay,
+                                                 f"spectrum ({args.sign})"))
     n = len(spec.entries)
     print(f"{n} eigenvalue{'s' if n != 1 else ''} in "
           f"[{_g(rect.re_min)}, {_g(rect.re_max)}] x "
@@ -409,20 +377,10 @@ def _verify_identity(p, args, tol):
 def _verify_energy(p, args, tol):
     rng = np.random.default_rng(args.seed)
     lams = _disc_draws(rng, args.count, args.lam_max)
-    res = np.abs(energy_identity_residual(p, lams, nsteps=args.nsteps))
-    # boundary terms of the identity set the comparison scale; the
-    # integral side equals their sum minus the residual, so no second
-    # trajectory pass is needed
-    d_p = delta(p, Sign.PLUS, lams, nsteps=args.nsteps)
-    d_pd = delta_dot(p, Sign.PLUS, lams, nsteps=args.nsteps)
-    d_0 = delta_zero(p, lams, nsteps=args.nsteps)
-    d_0d = delta_zero_dot(p, lams, nsteps=args.nsteps)
-    terms = np.maximum.reduce([
-        np.abs(d_p * d_0d), np.abs(d_pd * d_0),
-        np.abs(p.alpha * d_0 ** 2),
-        np.full(lams.shape, abs(p.alpha0)),
-    ])
-    rel = res / np.maximum(1.0, terms)
+    lhs, *terms = energy_terms(p, lams, nsteps=args.nsteps)
+    res = np.abs(sum(terms) - lhs)
+    # the boundary terms of the identity set the comparison scale
+    rel = res / np.maximum(1.0, np.maximum.reduce(np.abs(terms)))
     rows = [f"{_g(z.real)},{_g(z.imag)},{_g(r)},{_g(s)}"
             for z, r, s in zip(lams, res, rel)]
     return float(rel.max()), ["lam_re,lam_im,residual_abs,residual_rel"] + rows
@@ -447,7 +405,6 @@ def _verify_wronskian(p, args, tol):
 
 def cmd_verify(args) -> int:
     p = _load(args)
-    _threads(args)
     which = args.which
 
     if which in ("identity", "energy", "wronskian"):
@@ -457,7 +414,7 @@ def cmd_verify(args) -> int:
               "wronskian": _verify_wronskian}[which]
         worst, rows = fn(p, args, tol)
         if args.out is not None:
-            _write_text(args.out, "\n".join(rows) + "\n")
+            atomic_write_text(args.out, "\n".join(rows) + "\n")
         ok = worst <= tol
         print(f"{'PASS' if ok else 'FAIL'} {which}: max relative residual "
               f"{_g(worst)} (tol {_g(tol)}, {args.count} samples, "
@@ -484,36 +441,32 @@ def cmd_verify(args) -> int:
               f"eigenvalues, max mirror defect {_g(defect)} (tol {_g(tol)})")
         return 0 if ok else 1
 
-    if which == "interlace":
-        if not p.real_data:
-            raise InconsistentInput(
-                "interlacing check refused: it needs real_data")
-        taus = imaginary_axis_zeros(p, tau_max=args.tau_max,
-                                    nsteps=args.nsteps)
-        rep = interlace_and_signs(p, taus, nsteps=args.nsteps)
-        if args.out is not None:
-            rows = ["tau,sign_value_dot,sign_value_zero"]
-            for t, sd, sz in zip(rep.taus, rep.sign_values_dot,
-                                 rep.sign_values_zero):
-                rows.append(f"{_g(t)},{_g(sd)},{_g(sz)}")
-            _write_text(args.out, "\n".join(rows) + "\n")
-        wit = ", ".join(_g(t) for t in rep.taus) if rep.taus else "none"
-        n = len(rep.taus)
-        print(f"{'PASS' if rep.ok else 'FAIL'} interlace: "
-              f"{n} zero{'s' if n != 1 else ''} below the axis at tau = "
-              f"{wit} (scan up to {_g(args.tau_max)})")
-        for v in rep.violations:
-            print(f"  violation: {v}")
-        return 0 if rep.ok else 1
-
-    raise ValidationError(f"unknown check {which!r}")
+    # interlace: the parser admits no other check
+    if not p.real_data:
+        raise InconsistentInput(
+            "interlacing check refused: it needs real_data")
+    taus = imaginary_axis_zeros(p, tau_max=args.tau_max, nsteps=args.nsteps)
+    rep = interlace_and_signs(p, taus, nsteps=args.nsteps)
+    if args.out is not None:
+        rows = ["tau,sign_value_dot,sign_value_zero"]
+        for t, sd, sz in zip(rep.taus, rep.sign_values_dot,
+                             rep.sign_values_zero):
+            rows.append(f"{_g(t)},{_g(sd)},{_g(sz)}")
+        atomic_write_text(args.out, "\n".join(rows) + "\n")
+    wit = ", ".join(_g(t) for t in rep.taus) if rep.taus else "none"
+    n = len(rep.taus)
+    print(f"{'PASS' if rep.ok else 'FAIL'} interlace: "
+          f"{n} zero{'s' if n != 1 else ''} below the axis at tau = "
+          f"{wit} (scan up to {_g(args.tau_max)})")
+    for v in rep.violations:
+        print(f"  violation: {v}")
+    return 0 if rep.ok else 1
 
 
 # ---- asympt -----------------------------------------------------------------
 
 def cmd_asympt(args) -> int:
     p = _load(args)
-    _threads(args)
     model = asymptotic_model(p)
     sign = _sign_of(args.sign)
     kmax = args.kmax if args.kmax is not None else 40
@@ -573,7 +526,7 @@ def _recon_hadamard(args) -> int:
     lines = ["x,re,im"]
     for x, v in zip(xs, vals):
         lines.append(f"{_g(x)},{_g(v.real)},{_g(v.imag)}")
-    _write_text(out, "\n".join(lines) + "\n")
+    atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"exponent b = {_cg(model.b)}")
     print(f"constant c = {_cg(model.c)}")
     print(f"selector {model.selector}, {model.truncation} zeros kept, "
@@ -615,7 +568,7 @@ def _recon_even(args) -> int:
     for x, d, r, e, q in zip(path, direct, recon, err, rel):
         lines.append(f"{_g(x)},{_g(d.real)},{_g(d.imag)},"
                      f"{_g(r.real)},{_g(r.imag)},{_g(e)},{_g(q)}")
-    _write_text(out, "\n".join(lines) + "\n")
+    atomic_write_text(out, "\n".join(lines) + "\n")
     worst = float(rel.max())
     ok = worst <= tol
     print(f"{'PASS' if ok else 'FAIL'} even reconstruction: max relative "
@@ -661,7 +614,7 @@ def _recon_two_spectra(args) -> int:
             worst = max(worst, dist)
             lines.append(f"{_g(u.real)},{_g(u.imag)},"
                          f"{_g(v.real)},{_g(v.imag)},{_g(dist)}")
-    _write_text(out, "\n".join(lines) + "\n")
+    atomic_write_text(out, "\n".join(lines) + "\n")
     ok = worst <= tol
     print(f"{'PASS' if ok else 'FAIL'} two-spectra: {len(zd)} Robin zeros, "
           f"max distance {_g(worst)} (tol {_g(tol)})")
@@ -670,96 +623,16 @@ def _recon_two_spectra(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    _threads(args)
-    if args.mode == "hadamard":
-        return _recon_hadamard(args)
-    if args.mode == "even":
-        return _recon_even(args)
-    if args.mode == "two-spectra":
-        return _recon_two_spectra(args)
-    raise ValidationError(f"unknown mode {args.mode!r}")
+    run = {"hadamard": _recon_hadamard, "even": _recon_even,
+           "two-spectra": _recon_two_spectra}[args.mode]
+    return run(args)
 
 
 # ---- partial ----------------------------------------------------------------
 
-def _refine_subset(p: ReggeProblem, model, sign: Sign, kmax: int,
-                   nsteps) -> tuple[list, list]:
-    """(j, lambda) pairs from Newton refinement of the lattice seeds.
-
-    Returns the kept pairs and a list of notes about dropped indices
-    (non-convergence, zero eigenvalue, or collapse onto an already
-    claimed zero).
-    """
-    ks = [k for k in range(-kmax, kmax + 1)
-          if not (model.case_sign < 0 and k == 0)]
-    seeds = np.array([predicted_lambda(model, sign, k) for k in ks])
-
-    def f(z):
-        return delta(p, sign, z, nsteps=nsteps)
-
-    def fp(z):
-        return delta_dot(p, sign, z, nsteps=nsteps)
-
-    zs, res, conv = newton_refine(f, fp, seeds)
-    pairs = []
-    notes = []
-    taken: list = []
-    for k, z, ok in zip(ks, zs, conv):
-        if not ok:
-            notes.append(f"j = {k} dropped: no convergence from the seed")
-            continue
-        if abs(z) < 1e-12:
-            notes.append(f"j = {k} dropped: zero eigenvalue (degenerate "
-                         f"product factor)")
-            continue
-        dup = next((w for w in taken if abs(w - z) <= 1e-8 * (1 + abs(z))),
-                   None)
-        if dup is not None:
-            notes.append(f"j = {k} dropped: seed collapsed onto an already "
-                         f"claimed zero")
-            continue
-        taken.append(complex(z))
-        pairs.append((k, complex(z)))
-    return pairs, notes
-
-
-def _sparse_subset(model, sign: Sign, b_side: float, full_pairs,
-                   a: float) -> tuple[list, list]:
-    """Eigenvalues nearest the rescaled lattice a mu_j / b_side.
-
-    The critical-case hypothesis speaks about a subsequence close to
-    the rescaled lattice, so the deviation sum and the zero product are
-    built over this subset, not over consecutive indices.
-    """
-    lams = np.array([z for _, z in full_pairs])
-    reach = float(np.abs(lams).max()) - 0.5 * math.pi / a
-    pairs = []
-    notes = []
-    taken: set = set()
-    for j in range(-len(full_pairs), len(full_pairs) + 1):
-        if model.case_sign < 0 and j == 0:
-            continue
-        target = a * model.mu(sign, j) / b_side
-        if abs(target) > reach:
-            continue
-        i = int(np.argmin(np.abs(lams - target)))
-        if abs(lams[i]) < 1e-9:
-            notes.append(f"sparse j = {j} skipped: nearest eigenvalue "
-                         f"sits at the origin")
-            continue
-        if i in taken:
-            notes.append(f"sparse j = {j} skipped: eigenvalue already "
-                         f"claimed by a lower index")
-            continue
-        taken.add(i)
-        pairs.append((j, complex(lams[i])))
-    return pairs, notes
-
-
 def cmd_partial(args) -> int:
     p1 = _load(args)
     p2 = load_problem(_need(args.config2, "--config2"))
-    _threads(args)
     if args.b_plus is not None or args.b_minus is not None:
         if args.b_plus is None or args.b_minus is None:
             raise ValidationError("--b-plus and --b-minus go together")
@@ -807,8 +680,8 @@ def cmd_partial(args) -> int:
         excess = max(excess, h - bound)
         ind_lines.append(f"{_g(th)},{_g(h)},{_g(bound)}")
 
-    sp, notes_p = _refine_subset(p1, model, Sign.PLUS, kmax, args.nsteps)
-    sm, notes_m = _refine_subset(p1, model, Sign.MINUS, kmax, args.nsteps)
+    sp, notes_p = refine_subset(p1, model, Sign.PLUS, kmax, args.nsteps)
+    sm, notes_m = refine_subset(p1, model, Sign.MINUS, kmax, args.nsteps)
     if not sp or not sm:
         raise NumericalError(
             "eigenvalue subsets came back empty; widen --kmax")
@@ -822,16 +695,15 @@ def cmd_partial(args) -> int:
         dens_radii = reach * np.array([0.125, 0.25, 0.5, 1.0]) * 0.98
     dens = {}
     for name, pairs in (("plus", sp), ("minus", sm)):
-        lams = [z for _, z in pairs]
-        zs = ZeroSet(zeros=[(z, 1) for z in lams], order_at_origin=0)
+        zs = ZeroSet(zeros=[(z, 1) for _, z in pairs], order_at_origin=0)
         dens[name] = density_check(zs, a, dens_radii, window=args.window)
     dens_lines = ["r,ratio_plus,ratio_minus"]
     for i, r in enumerate(dens_radii):
         dens_lines.append(f"{_g(r)},{_g(dens['plus'].ratios[i])},"
                           f"{_g(dens['minus'].ratios[i])}")
 
-    ssp, snotes_p = _sparse_subset(model, Sign.PLUS, b_plus, sp, a)
-    ssm, snotes_m = _sparse_subset(model, Sign.MINUS, b_minus, sm, a)
+    ssp, snotes_p = sparse_subset(model, Sign.PLUS, b_plus, sp)
+    ssm, snotes_m = sparse_subset(model, Sign.MINUS, b_minus, sm)
     if not ssp or not ssm:
         raise NumericalError(
             "rescaled-lattice subsets came back empty; widen --kmax "
@@ -847,18 +719,11 @@ def cmd_partial(args) -> int:
     diag = critical_diagnostics(p1, p2, b_plus, b_minus, (ssp, ssm), tsched,
                                 nsteps=args.nsteps)
 
-    paths = {
-        "growth": f"{out}_growth.csv",
-        "indicator": f"{out}_indicator.csv",
-        "density": f"{out}_density.csv",
-        "deviation": f"{out}_deviation.csv",
-        "e0": f"{out}_e0.csv",
-    }
-    _write_text(paths["growth"], "\n".join(growth_lines) + "\n")
-    _write_text(paths["indicator"], "\n".join(ind_lines) + "\n")
-    _write_text(paths["density"], "\n".join(dens_lines) + "\n")
-    _write_text(paths["deviation"], "\n".join(dev_lines) + "\n")
-    write_critical_csv(paths["e0"], diag)
+    reports = {"growth": growth_lines, "indicator": ind_lines,
+               "density": dens_lines, "deviation": dev_lines}
+    for name, lines in reports.items():
+        atomic_write_text(f"{out}_{name}.csv", "\n".join(lines) + "\n")
+    write_critical_csv(f"{out}_e0.csv", diag)
 
     print(f"partial diagnostics: a {_g(a)}, split b {_g(b)} "
           f"(b_plus {_g(b_plus)}, b_minus {_g(b_minus)})")
@@ -880,8 +745,8 @@ def cmd_partial(args) -> int:
     e0 = np.abs(diag.E0)
     print(f"E0 on the t schedule: {_g(e0[0])} -> {_g(e0[-1])}, "
           f"{'decreasing' if diag.decreasing else 'not decreasing'}")
-    for name in ("growth", "indicator", "density", "deviation", "e0"):
-        print(f"wrote {paths[name]}")
+    for name in (*reports, "e0"):
+        print(f"wrote {out}_{name}.csv")
     return 0
 
 
@@ -912,7 +777,6 @@ def _read_points_csv(path: str) -> list:
 
 
 def cmd_plot(args) -> int:
-    _threads(args)
     out = _need(args.out, "--out")
     if args.infile is not None:
         pts = _read_points_csv(args.infile)
@@ -944,7 +808,7 @@ def cmd_plot(args) -> int:
                         min(ys) - 1.0, max(ys) + 1.0)
         overlay = _lattice_overlay(p, model, _sign_of(args.sign), box)
 
-    _write_text(out, _svg_scatter(pts, overlay, title))
+    atomic_write_text(out, _svg_scatter(pts, overlay, title))
     print(f"wrote {out} ({len(pts)} points"
           f"{f', {len(overlay)} lattice marks' if overlay else ''})")
     return 0
@@ -961,9 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search rectangle re_min,re_max,im_min,im_max")
     common.add_argument("--kmax", type=int,
                         help="lattice index bound (synthesizes --rect)")
-    common.add_argument("--threads", type=int,
-                        help="worker cap; REGGE_THREADS as fallback "
-                             "(never changes results)")
     common.add_argument("--nsteps", type=int,
                         help="integrator mesh override")
 

@@ -50,10 +50,6 @@ class NumericalError(ReggeError, RuntimeError):
     pass
 
 
-class ToleranceNotMet(NumericalError):
-    """Requested tolerance could not be certified."""
-
-
 class NoConvergence(NumericalError):
     """Iteration failed to converge within the allowed budget."""
 

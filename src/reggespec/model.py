@@ -14,6 +14,7 @@ symmetric with respect to the imaginary axis.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import os
@@ -40,6 +41,7 @@ __all__ = [
     "dump_problem",
     "problem_from_dict",
     "problem_to_dict",
+    "atomic_write_text",
 ]
 
 
@@ -171,11 +173,6 @@ class Potential:
                                   self.interpolation)
         return self
 
-    def is_even(self, tol: float = 1e-10) -> bool:
-        """True when q(x) = q(length - x) up to tol on a probe mesh."""
-        xs = np.linspace(0.0, self.length, 257)
-        return bool(np.max(np.abs(self(xs) - self(self.length - xs))) <= tol)
-
 
 @dataclass(frozen=True)
 class ReggeProblem:
@@ -304,10 +301,24 @@ def load_problem(path_or_dict) -> ReggeProblem:
     return problem_from_dict(cfg)
 
 
-def dump_problem(p: ReggeProblem, path: str) -> None:
-    """Write a problem config atomically (write to temp, then rename)."""
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory.
+
+    The temporary file is renamed over path once it is complete and
+    removed on any failure, so a failed write leaves neither a partial
+    file nor a stray temporary behind.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(p), fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def dump_problem(p: ReggeProblem, path: str) -> None:
+    """Write a problem config atomically."""
+    atomic_write_text(path, json.dumps(problem_to_dict(p), indent=2) + "\n")

@@ -480,17 +480,6 @@ class KernelGrid:
         """K1(x, t) = K(x, t) - K(x, -t)."""
         return self.K(x, t) - self.K(x, np.asarray(t) * -1.0)
 
-    def G(self, x, t, beta0):
-        """beta0 + K(x,t) + K(x,-t) + beta0 * int_t^x K1(x, xi) dxi."""
-        x = float(x)
-        t = float(t)
-        beta0 = complex(beta0)
-        n = max(2, int(np.ceil((x - t) / (self.mesh[1] - self.mesh[0]))))
-        xi = np.linspace(t, x, n + 1)
-        k1 = self.K_odd(np.full(n + 1, x), xi)
-        integral = np.trapezoid(k1, xi)
-        return beta0 + self.K(x, t) + self.K(x, -t) + beta0 * integral
-
     def diagonal_residual(self, q: Potential) -> float:
         """sup over mesh of |K(x, x) - (1/2) int_0^x q|."""
         half_q = 0.5 * q.prefix_integral(self.mesh)

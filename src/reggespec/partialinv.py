@@ -15,12 +15,17 @@ products are truncated with their last-factor influence checked.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asympt import AsymptoticModel, asymptotic_model, phi1_eval
+from .asympt import (
+    AsymptoticModel,
+    asymptotic_model,
+    phi1_eval,
+    predicted_lambda,
+)
+from .charfn import delta, delta_dot
 from .errors import (
     InconsistentInput,
     MisalignedInput,
@@ -28,9 +33,10 @@ from .errors import (
     Overflow,
     TruncationDominates,
 )
-from .model import ReggeProblem, Sign
+from .model import ReggeProblem, Sign, atomic_write_text
 from .odecore import solve_y
 from .reconstruct import ZeroSet
+from .roots import newton_refine
 
 __all__ = [
     "F_mismatch",
@@ -42,6 +48,8 @@ __all__ = [
     "default_radius_schedule",
     "DensityReport",
     "density_check",
+    "refine_subset",
+    "sparse_subset",
     "DeviationReport",
     "weighted_deviation",
     "CriticalDiagnostics",
@@ -210,6 +218,73 @@ def density_check(zs: ZeroSet, m: float, r_probe,
                          window=float(window))
 
 
+# ---- eigenvalue subsets ------------------------------------------------------
+
+def refine_subset(p: ReggeProblem, model: AsymptoticModel, sign: Sign,
+                  kmax: int, nsteps: int | None = None) -> tuple[list, list]:
+    """(j, lambda) pairs from Newton refinement of the lattice seeds.
+
+    Newton starts at predicted_lambda for every index |j| <= kmax.
+    Returns the kept pairs and a list of notes about dropped indices
+    (non-convergence, zero eigenvalue, or collapse onto an already
+    claimed zero).
+    """
+    ks = [k for k in range(-kmax, kmax + 1)
+          if not (model.case_sign < 0 and k == 0)]
+    seeds = np.array([predicted_lambda(model, sign, k) for k in ks])
+    zs, _, conv = newton_refine(
+        lambda z: delta(p, sign, z, nsteps=nsteps),
+        lambda z: delta_dot(p, sign, z, nsteps=nsteps), seeds)
+    pairs = []
+    notes = []
+    for k, z, ok in zip(ks, zs, conv):
+        if not ok:
+            notes.append(f"j = {k} dropped: no convergence from the seed")
+        elif abs(z) < 1e-12:
+            notes.append(f"j = {k} dropped: zero eigenvalue (degenerate "
+                         f"product factor)")
+        elif any(abs(w - z) <= 1e-8 * (1 + abs(z)) for _, w in pairs):
+            notes.append(f"j = {k} dropped: seed collapsed onto an already "
+                         f"claimed zero")
+        else:
+            pairs.append((k, complex(z)))
+    return pairs, notes
+
+
+def sparse_subset(model: AsymptoticModel, sign: Sign, b_side: float,
+                  full_pairs) -> tuple[list, list]:
+    """Eigenvalues nearest the rescaled lattice a mu_j / b_side.
+
+    The critical-case hypothesis speaks about a subsequence close to
+    the rescaled lattice, so the deviation sum and the zero product are
+    built over this subset, not over consecutive indices.  Returns the
+    (j, lambda) pairs and notes about skipped indices.
+    """
+    a = model.a
+    lams = np.array([z for _, z in full_pairs])
+    reach = float(np.abs(lams).max()) - 0.5 * math.pi / a
+    pairs = []
+    notes = []
+    taken: set = set()
+    for j in range(-len(full_pairs), len(full_pairs) + 1):
+        if model.case_sign < 0 and j == 0:
+            continue
+        target = a * model.mu(sign, j) / b_side
+        if abs(target) > reach:
+            continue
+        i = int(np.argmin(np.abs(lams - target)))
+        if abs(lams[i]) < 1e-9:
+            notes.append(f"sparse j = {j} skipped: nearest eigenvalue "
+                         f"sits at the origin")
+        elif i in taken:
+            notes.append(f"sparse j = {j} skipped: eigenvalue already "
+                         f"claimed by a lower index")
+        else:
+            taken.add(i)
+            pairs.append((j, complex(lams[i])))
+    return pairs, notes
+
+
 # ---- weighted deviation sum -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -361,11 +436,9 @@ def critical_diagnostics(p1: ReggeProblem, p2: ReggeProblem,
 
 def write_critical_csv(path: str, diag: CriticalDiagnostics) -> None:
     """t, |G|, |Phi|, |Phi0|, |E0| rows, written atomically."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("t,G_abs,Phi_abs,Phi0_abs,E0_abs\n")
-        for i, tv in enumerate(diag.t):
-            fh.write(f"{tv:.17g},{abs(diag.G[i]):.17g},"
+    lines = ["t,G_abs,Phi_abs,Phi0_abs,E0_abs"]
+    for i, tv in enumerate(diag.t):
+        lines.append(f"{tv:.17g},{abs(diag.G[i]):.17g},"
                      f"{abs(diag.Phi[i]):.17g},{abs(diag.Phi0[i]):.17g},"
-                     f"{abs(diag.E0[i]):.17g}\n")
-    os.replace(tmp, path)
+                     f"{abs(diag.E0[i]):.17g}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

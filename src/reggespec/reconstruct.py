@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +49,7 @@ from .errors import (
     MisalignedInput,
     ZeroAtOrigin,
 )
+from .model import atomic_write_text
 
 __all__ = [
     "ZeroSet",
@@ -131,10 +131,7 @@ def write_zeroset_csv(path: str, zs: ZeroSet) -> None:
     lines = [f"# order_at_origin={zs.order_at_origin}", "re,im,multiplicity"]
     for z, m in zs.zeros:
         lines.append(f"{z.real:.17g},{z.imag:.17g},{m}")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_zeroset_csv(path: str) -> ZeroSet:

@@ -9,7 +9,6 @@ numpy-vectorised callables of a complex argument.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     Overflow,
     SignViolation,
 )
-from .model import ReggeProblem, Sign
+from .model import ReggeProblem, Sign, atomic_write_text
 
 __all__ = [
     "Rectangle",
@@ -576,11 +575,9 @@ def pair_symmetry_check(spec: Spectrum, tol: float = 1e-8):
 # ---- CSV ------------------------------------------------------------------
 
 def write_spectrum_csv(spec: Spectrum, path: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("k,re,im,multiplicity,residual\n")
-        for e in spec.entries:
-            k = "" if e.k is None else str(e.k)
-            fh.write(f"{k},{e.lam.real:.17g},{e.lam.imag:.17g},"
-                     f"{e.multiplicity},{e.residual:.17g}\n")
-    os.replace(tmp, path)
+    lines = ["k,re,im,multiplicity,residual"]
+    for e in spec.entries:
+        k = "" if e.k is None else str(e.k)
+        lines.append(f"{k},{e.lam.real:.17g},{e.lam.imag:.17g},"
+                     f"{e.multiplicity},{e.residual:.17g}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -18,6 +18,7 @@ from reggespec import (
     wronskian_delta,
     write_samples_csv,
 )
+from reggespec.charfn import energy_terms
 
 from conftest import (
     closed_form_problem,
@@ -120,6 +121,27 @@ def test_energy_identity_random_grid_potential():
     t3 = np.abs(p.alpha * delta_zero(p, lam) ** 2)
     scale = np.maximum(1.0, np.maximum(t1, np.maximum(t2, t3)))
     assert (res / scale).max() < 1e-8
+
+
+def test_energy_terms_from_one_state():
+    """The five terms reproduce the residual exactly and match the
+    boundary values computed by the separate evaluators."""
+    p = grid_problem(6)
+    rng = np.random.default_rng(2)
+    lam = rng.uniform(-8, 8, 12) + 1j * rng.uniform(-3, 3, 12)
+    lhs, t1, t2, t3, t4 = energy_terms(p, lam)
+    res = energy_identity_residual(p, lam)
+    assert np.array_equal(t1 + t2 + t3 + t4 - lhs, res)
+    d0 = delta_zero(p, lam)
+    for got, want in ((t1, delta(p, Sign.PLUS, lam) * delta_zero_dot(p, lam)),
+                      (t2, -delta_dot(p, Sign.PLUS, lam) * d0),
+                      (t3, 1j * p.alpha * d0 ** 2),
+                      (t4, np.full(lam.shape, 1j * p.alpha0))):
+        assert got.shape == lam.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    scalar = energy_terms(p, complex(lam[0]))
+    assert np.allclose(scalar, [lhs[0], t1[0], t2[0], t3[0], t4[0]],
+                       rtol=1e-13, atol=0)
 
 
 def test_wronskian_route_is_x_independent():

@@ -155,19 +155,26 @@ def test_spectrum_overflowing_search_mesh_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_threads_env_and_determinism(tmp_path, monkeypatch):
+def test_spectrum_output_is_deterministic(tmp_path):
     cfg = _cfg(tmp_path, ZERO_POT)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("REGGE_THREADS", "frog")
-    assert main(["spectrum", "--config", cfg, "--rect=-4,4,-1,2",
-                 "--out", str(out1)]) == 2
-    monkeypatch.delenv("REGGE_THREADS")
-    assert main(["spectrum", "--config", cfg, "--rect=-4,4,-1,2",
-                 "--threads", "1", "--out", str(out1)]) == 0
-    monkeypatch.setenv("REGGE_THREADS", "8")
-    assert main(["spectrum", "--config", cfg, "--rect=-4,4,-1,2",
-                 "--out", str(out2)]) == 0
+    for out in (out1, out2):
+        assert main(["spectrum", "--config", cfg, "--rect=-4,4,-1,2",
+                     "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    """--out naming an existing directory: the rename fails, the run exits
+    2 as a config error, and the temporary file is removed."""
+    cfg = _cfg(tmp_path, ZERO_POT)
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    assert main(["spectrum", "--config", cfg, "--rect=-4,4,-1,2",
+                 "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+    assert not list(tmp_path.glob("*.tmp.*"))
 
 
 def test_verify_identity_and_energy(tmp_path, capsys):

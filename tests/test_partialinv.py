@@ -9,6 +9,7 @@ import pytest
 
 from reggespec import Potential, ReggeProblem
 from reggespec.asympt import asymptotic_model, mu_k
+from reggespec.charfn import delta, delta_dot
 from reggespec.errors import (
     DegenerateCase,
     InconsistentInput,
@@ -27,6 +28,8 @@ from reggespec.partialinv import (
     density_check,
     f_mismatch_logabs,
     indicator_estimate,
+    refine_subset,
+    sparse_subset,
     weighted_deviation,
     write_critical_csv,
 )
@@ -210,6 +213,39 @@ def _critical_inputs(seed1=12, seed2=13, jmax=40):
     sub_m = [(j, m.a * mu_k(m, Sign.MINUS, j) / bm + 0.1 / j)
              for j in range(1, jmax + 1)]
     return p1, p2, bp, bm, (sub_p, sub_m)
+
+
+def test_refine_subset_polishes_lattice_seeds():
+    p = worked_problem()            # case sign -1: j = 0 is not an index
+    m = asymptotic_model(p)
+    pairs, notes = refine_subset(p, m, Sign.PLUS, 6)
+    js = [j for j, _ in pairs]
+    assert 0 not in js and js == sorted(js)
+    assert len(pairs) + len(notes) == 12
+    lams = np.array([z for _, z in pairs])
+    step = np.abs(delta(p, Sign.PLUS, lams) / delta_dot(p, Sign.PLUS, lams))
+    assert step.max() < 1e-10
+    assert len(set(np.round(lams, 8))) == len(lams)
+
+
+def test_sparse_subset_takes_nearest_to_rescaled_lattice():
+    p = worked_problem()
+    m = asymptotic_model(p)
+    full, _ = refine_subset(p, m, Sign.PLUS, 20)
+    lams = np.array([z for _, z in full])
+    sub, notes = sparse_subset(m, Sign.PLUS, 0.5, full)
+    assert sub and len({z for _, z in sub}) == len(sub)
+    reach = np.abs(lams).max() - 0.5 * math.pi / m.a
+    for j, z in sub:
+        target = m.a * mu_k(m, Sign.PLUS, j) / 0.5
+        assert abs(target) <= reach
+        assert abs(z - target) == pytest.approx(np.abs(lams - target).min())
+    # on the unscaled lattice (b = a) index j picks the eigenvalue that
+    # Newton reached from the seed of index j
+    same, _ = sparse_subset(m, Sign.PLUS, m.a, full)
+    by_j = dict(full)
+    assert len(same) > 30
+    assert all(z == by_j[j] for j, z in same if abs(j) >= 2)
 
 
 def test_critical_diagnostics_assembles_consistently():
