@@ -30,6 +30,7 @@ from .charfn import (
     energy_identity_residual,
     identity_residual,
     robin_charfn,
+    robin_dot,
     sample_charfn,
     wronskian_delta,
     write_samples_csv,
@@ -123,8 +124,11 @@ from .roots import (
     imaginary_axis_zeros,
     index_eigenvalues,
     interlace_and_signs,
+    locate_zeros,
     newton_refine,
     pair_symmetry_check,
+    pair_zeros,
+    robin_zeros,
     winding_count,
     write_spectrum_csv,
 )

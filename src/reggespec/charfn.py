@@ -1,18 +1,18 @@
 """Characteristic functions of the generalized Regge problem.
 
 With y the left boundary solution (y(0) = 1, y'(0) = beta0 + i alpha0
-lambda), the two characteristic functions are
+lambda), u = y(lam, a) and du = y'(lam, a), the form
 
-    Delta_+(lam) = y'(lam, a) + (i alpha lam + beta) y(lam, a),
-    Delta_-(lam) = y'(lam, a) - (i alpha lam - beta) y(lam, a),
+    du + (s i alpha lam + beta) u
 
-whose zeros are the eigenvalues of the problem and of its alpha -> -alpha
-partner.  Delta_0(lam) = y(lam, a) is the characteristic function of the
-reflected problem with a Dirichlet condition at 0.  The module also
-evaluates lambda-derivatives, the Wronskian route to Delta_(+/-), the
-product identity connecting the four values Delta_(+/-)(+/-lam), and the
-energy identity that expresses 2 lam int_0^a y^2 dx through Delta_+ and
-Delta_0.
+is Delta_+ (s = +1) or Delta_- (s = -1), whose zeros are the eigenvalues
+of the problem and of its alpha -> -alpha partner, or their average, the
+Robin function (s = 0).  Delta_0 = u (s = None) is the characteristic
+function of the reflected problem with a Dirichlet condition at 0.  Each
+evaluator is a view of one marched state through `_form`.  The module
+also evaluates the Wronskian route to Delta_(+/-), the product identity
+connecting Delta_(+/-)(+/-lam), and the energy identity that expresses
+2 lam int_0^a y^2 dx through Delta_+ and Delta_0.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .model import ReggeProblem, Sign, atomic_write_text
 from .odecore import (
+    DerivState,
     solve_phi,
     solve_y,
     solve_y_lambda_derivative,
@@ -38,6 +39,7 @@ __all__ = [
     "identity_terms",
     "identity_residual",
     "robin_charfn",
+    "robin_dot",
     "energy_terms",
     "energy_identity_residual",
     "CharFnSample",
@@ -51,8 +53,21 @@ def _unwrap(x):
     return x.item() if x.shape == () else x
 
 
-def _coef(p: ReggeProblem, sign: Sign, lam):
-    return sign.s * 1j * p.alpha * np.asarray(lam, dtype=complex) + complex(p.beta)
+def _form(p: ReggeProblem, s, lam, st, dot: bool = False):
+    """The form named by s on the state st, or with dot its
+    lambda-derivative (st a DerivState), in st's scale exp(st.sigma)."""
+    if s is None:
+        return st.v if dot else st.u
+    coef = s * 1j * p.alpha * np.asarray(lam, dtype=complex) + complex(p.beta)
+    if dot:
+        return st.dv + s * 1j * p.alpha * st.u + coef * st.v
+    return st.du + coef * st.u
+
+
+def _view(p: ReggeProblem, s, lam, nsteps, dot: bool = False):
+    """The form named by s (or its lambda-derivative) at lam, descaled."""
+    st = (solve_y_lambda_derivative if dot else solve_y)(p, lam, nsteps=nsteps)
+    return _unwrap(_form(p, s, lam, st, dot) * np.exp(st.sigma))
 
 
 def delta_scaled(p: ReggeProblem, sign: Sign, lam, nsteps=None):
@@ -61,34 +76,41 @@ def delta_scaled(p: ReggeProblem, sign: Sign, lam, nsteps=None):
     Safe at large |Im lam| where the descaled value would overflow.
     """
     st = solve_y(p, lam, nsteps=nsteps)
-    mant = st.du + _coef(p, sign, lam) * st.u
-    return _unwrap(mant), _unwrap(st.sigma)
+    return _unwrap(_form(p, sign.s, lam, st)), _unwrap(st.sigma)
 
 
 def delta(p: ReggeProblem, sign: Sign, lam, nsteps=None):
     """Delta_+ or Delta_- at lam (scalar or array), descaled."""
-    mant, sigma = delta_scaled(p, sign, lam, nsteps=nsteps)
-    return _unwrap(np.asarray(mant) * np.exp(np.asarray(sigma)))
+    return _view(p, sign.s, lam, nsteps)
 
 
 def delta_zero(p: ReggeProblem, lam, nsteps=None):
     """Delta_0(lam) = y(lam, a), the reflected-problem characteristic function."""
-    st = solve_y(p, lam, nsteps=nsteps)
-    return _unwrap(st.value)
+    return _view(p, None, lam, nsteps)
+
+
+def robin_charfn(p: ReggeProblem, lam, nsteps=None):
+    """y'(lam, a) + beta y(lam, a), the lambda-independent-coupling remnant.
+
+    Equals (Delta_+ + Delta_-)/2 exactly; kept as a separate entry point
+    so the averaged route can be cross-checked against it.
+    """
+    return _view(p, 0, lam, nsteps)
 
 
 def delta_dot(p: ReggeProblem, sign: Sign, lam, nsteps=None):
     """d/dlam of Delta at lam, from the variational system (no finite differences)."""
-    st = solve_y_lambda_derivative(p, lam, nsteps=nsteps)
-    lam_c = np.asarray(lam, dtype=complex)
-    mant = st.dv + sign.s * 1j * p.alpha * st.u + _coef(p, sign, lam_c) * st.v
-    return _unwrap(mant * np.exp(st.sigma))
+    return _view(p, sign.s, lam, nsteps, dot=True)
 
 
 def delta_zero_dot(p: ReggeProblem, lam, nsteps=None):
     """d/dlam of Delta_0."""
-    st = solve_y_lambda_derivative(p, lam, nsteps=nsteps)
-    return _unwrap(st.lam_derivative)
+    return _view(p, None, lam, nsteps, dot=True)
+
+
+def robin_dot(p: ReggeProblem, lam, nsteps=None):
+    """d/dlam of the Robin function, (Ddot_+ + Ddot_-)/2, from one march."""
+    return _view(p, 0, lam, nsteps, dot=True)
 
 
 def wronskian_delta(p: ReggeProblem, sign: Sign, lam, x: float, nsteps=None):
@@ -105,14 +127,6 @@ def wronskian_delta(p: ReggeProblem, sign: Sign, lam, x: float, nsteps=None):
     return _unwrap(mant * np.exp(ph.sigma + ys.sigma))
 
 
-def _delta_pair(p: ReggeProblem, lam, nsteps=None):
-    """(Delta_+, Delta_-) at lam from one solve_y state, descaled."""
-    st = solve_y(p, lam, nsteps=nsteps)
-    scale = np.exp(st.sigma)
-    return tuple((st.du + _coef(p, sign, lam) * st.u) * scale
-                 for sign in (Sign.PLUS, Sign.MINUS))
-
-
 def identity_terms(p: ReggeProblem, lam, nsteps=None):
     """The three terms of the product identity at lam:
 
@@ -121,9 +135,11 @@ def identity_terms(p: ReggeProblem, lam, nsteps=None):
     Delta_+ and Delta_- share one integration at lam and one at -lam.
     """
     lam_c = np.asarray(lam, dtype=complex)
-    dp, dm = _delta_pair(p, lam_c, nsteps=nsteps)
-    dpm, dmm = _delta_pair(p, -lam_c, nsteps=nsteps)
-    return dp * dpm, dm * dmm, 4.0 * p.alpha * p.alpha0 * lam_c ** 2
+    states = [(z, solve_y(p, z, nsteps=nsteps)) for z in (lam_c, -lam_c)]
+    plus, minus = ([_form(p, s, z, st) * np.exp(st.sigma) for z, st in states]
+                   for s in (1, -1))
+    return (plus[0] * plus[1], minus[0] * minus[1],
+            4.0 * p.alpha * p.alpha0 * lam_c ** 2)
 
 
 def identity_residual(p: ReggeProblem, lam, nsteps=None):
@@ -133,16 +149,6 @@ def identity_residual(p: ReggeProblem, lam, nsteps=None):
     """
     plus, minus, quad = identity_terms(p, lam, nsteps=nsteps)
     return _unwrap(plus - minus - quad)
-
-
-def robin_charfn(p: ReggeProblem, lam, nsteps=None):
-    """y'(lam, a) + beta y(lam, a), the lambda-independent-coupling remnant.
-
-    Equals (Delta_+ + Delta_-)/2 exactly; kept as a separate entry point
-    so the averaged route can be cross-checked against it.
-    """
-    st = solve_y(p, lam, nsteps=nsteps)
-    return _unwrap((st.du + complex(p.beta) * st.u) * np.exp(st.sigma))
 
 
 def energy_terms(p: ReggeProblem, lam, nsteps=None):
@@ -159,11 +165,12 @@ def energy_terms(p: ReggeProblem, lam, nsteps=None):
     """
     lam_c = np.asarray(lam, dtype=complex)
     st = solve_y_lambda_derivative(p, lam_c, nsteps=nsteps)
+    # the terms multiply values, so the forms are taken on the descaled state
     scale = np.exp(st.sigma)
-    d0, d0_dot = st.u * scale, st.v * scale
-    coef = _coef(p, Sign.PLUS, lam_c)
-    d_plus = st.du * scale + coef * d0
-    d_plus_dot = st.dv * scale + 1j * p.alpha * d0 + coef * d0_dot
+    st = DerivState(u=st.u * scale, du=st.du * scale, v=st.v * scale,
+                    dv=st.dv * scale, sigma=np.zeros_like(scale))
+    d0, d0_dot = (_form(p, None, lam_c, st, dot) for dot in (False, True))
+    d_plus, d_plus_dot = (_form(p, 1, lam_c, st, dot) for dot in (False, True))
 
     xs, traj, _ = solve_y_trajectory(p, lam_c, nsteps=nsteps)
     m = len(xs) - 1

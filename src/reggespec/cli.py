@@ -1,10 +1,16 @@
 """Command-line front end: parse configs, run pipelines, emit CSV/SVG.
 
 Exit codes: 0 success (all checks passed), 1 a verification or
-comparison failed, 2 config/usage error, 3 numerical failure inside a
-solver.  Numeric output is printed with 17 significant digits so values
+comparison failed, 2 config/usage error (out-of-range flags included:
+--nsteps >= 8, --count >= 1), 3 numerical failure inside a solver.
+Numeric output is printed with 17 significant digits so values
 round-trip losslessly; every file is written to a temporary name in the
 same directory and renamed, so a failing run leaves no partial artifacts.
+
+Every zero search -- Delta_+ and Delta_-, the interior function Delta_0
+(`spectrum --sign interior`) and both Robin routes (`reconstruct --mode
+two-spectra`) -- runs `roots.locate_zeros`: a coarse search mesh, then
+Newton polish at the full mesh.
 
 Runs are deterministic: the only randomness is the generator seeded by
 --seed in `verify`.
@@ -24,26 +30,17 @@ from .errors import (
     ValidationError,
 )
 from .model import ReggeProblem, Sign, atomic_write_text, load_problem
-from .charfn import (
-    delta,
-    delta_dot,
-    delta_zero,
-    delta_zero_dot,
-    energy_terms,
-    identity_terms,
-    robin_charfn,
-    wronskian_delta,
-)
+from .charfn import delta, energy_terms, identity_terms, wronskian_delta
 from .roots import (
     Rectangle,
-    Spectrum,
-    SpectrumEntry,
     compute_spectrum,
-    find_zeros,
+    find_zeros,  # noqa: F401 -- unused; bench/spans.py wraps it by name
     imaginary_axis_zeros,
     index_eigenvalues,
     interlace_and_signs,
     pair_symmetry_check,
+    pair_zeros,
+    robin_zeros,
     write_spectrum_csv,
 )
 from .asympt import (
@@ -58,7 +55,6 @@ from .reconstruct import (
     even_delta_minus,
     hadamard_build,
     read_zeroset_csv,
-    two_spectra_robin,
 )
 from .partialinv import (
     critical_diagnostics,
@@ -126,6 +122,17 @@ def _tol(args, default: float) -> float:
     if not t > 0:
         raise ValidationError(f"tolerance must be positive, got {t}")
     return t
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo, else a usage error naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its messages
+    return parse
 
 
 def _need(value, flag: str):
@@ -280,38 +287,17 @@ def _lattice_overlay(p: ReggeProblem, model, sign: Sign,
 
 # ---- spectrum ---------------------------------------------------------------
 
-def _interior_spectrum(p: ReggeProblem, rect: Rectangle, tol: float,
-                       nsteps) -> Spectrum:
-    def f(z):
-        return delta_zero(p, z, nsteps=nsteps)
-
-    def fp(z):
-        return delta_zero_dot(p, z, nsteps=nsteps)
-
-    found = find_zeros(f, fp, rect, tol=tol)
-    entries = [SpectrumEntry(k=None, lam=z, multiplicity=m, residual=r)
-               for z, m, r in found]
-    # the sign tag is internal bookkeeping and never serialized
-    return Spectrum(entries=entries, sign=Sign.PLUS, region=rect)
-
-
 def cmd_spectrum(args) -> int:
     p = _load(args)
     tol = _tol(args, 1e-12)
     model = asymptotic_model(p, strict=False)
     interior = args.sign == "interior"
     sign = None if interior else _sign_of(args.sign)
-    if args.rect is not None:
-        rect = _parse_rect(args.rect)
-    else:
-        rect = _auto_rect(p, model, sign, args.kmax)
-    if interior:
-        spec = _interior_spectrum(p, rect, tol, args.nsteps)
-        spec = index_eigenvalues(spec, None, Sign.PLUS)
-    else:
-        spec = compute_spectrum(p, sign, rect, tol=tol, nsteps=args.nsteps)
-        spec = index_eigenvalues(
-            spec, model if model.case_sign != 0 else None, sign)
+    rect = (_parse_rect(args.rect) if args.rect is not None
+            else _auto_rect(p, model, sign, args.kmax))
+    spec = compute_spectrum(p, sign, rect, tol=tol, nsteps=args.nsteps)
+    lattice = None if interior or model.case_sign == 0 else model
+    spec = index_eigenvalues(spec, lattice, sign)
 
     out = _need(args.out, "--out")
     if args.predict:
@@ -582,21 +568,10 @@ def _recon_two_spectra(args) -> int:
     p = _load(args)
     tol = _tol(args, 1e-8)
     rect = _parse_rect(_need(args.rect, "--rect"))
-
-    def favg(z):
-        return two_spectra_robin(
-            lambda w: delta(p, Sign.PLUS, w, nsteps=args.nsteps),
-            lambda w: delta(p, Sign.MINUS, w, nsteps=args.nsteps), z)
-
-    def fdir(z):
-        return robin_charfn(p, z, nsteps=args.nsteps)
-
-    def fdot(z):
-        return 0.5 * (delta_dot(p, Sign.PLUS, z, nsteps=args.nsteps)
-                      + delta_dot(p, Sign.MINUS, z, nsteps=args.nsteps))
-
-    za = find_zeros(favg, fdot, rect)
-    zd = find_zeros(fdir, fdot, rect)
+    zd = sorted((z for z, _, _ in robin_zeros(p, rect, nsteps=args.nsteps)),
+                key=lambda z: (z.real, z.imag))
+    za = [z for z, _, _ in robin_zeros(p, rect, averaged=True,
+                                       nsteps=args.nsteps)]
     out = _need(args.out, "--out")
     lines = ["re_direct,im_direct,re_averaged,im_averaged,distance"]
     worst = 0.0
@@ -605,12 +580,8 @@ def _recon_two_spectra(args) -> int:
         lines.append(f"# count mismatch: {len(zd)} direct vs {len(za)} "
                      f"averaged")
     else:
-        key = lambda z: (z.real, z.imag)
-        da = sorted((z for z, _, _ in za), key=key)
-        dd = sorted((z for z, _, _ in zd), key=key)
-        # both lists sorted the same way; nearest pairing by position
-        for u, v in zip(dd, da):
-            dist = abs(u - v)
+        for i, j, dist in zip(*pair_zeros(zd, za)):
+            u, v = zd[i], za[j]
             worst = max(worst, dist)
             lines.append(f"{_g(u.real)},{_g(u.imag)},"
                          f"{_g(v.real)},{_g(v.imag)},{_g(dist)}")
@@ -661,18 +632,15 @@ def cmd_partial(args) -> int:
 
     # every report is assembled before anything is written, so a failure
     # below leaves no files behind
-    grid = radii[None, :] * np.exp(1j * angles)[:, None]
-    la = np.asarray(logF(grid.reshape(-1)), dtype=complex).real \
-        .reshape(grid.shape)
+    ind = indicator_estimate(logF, angles=angles, radii=radii, logabs=True)
     with np.errstate(invalid="ignore"):
-        scaled = la - np.log(radii)[None, :] \
+        scaled = ind.logmag - np.log(radii)[None, :] \
             - 2.0 * b * radii[None, :] * np.abs(np.sin(angles))[:, None]
     growth_lines = ["r,sup_logabs_F,scaled_sup"]
     for j, r in enumerate(radii):
-        growth_lines.append(f"{_g(r)},{_g(la[:, j].max())},"
+        growth_lines.append(f"{_g(r)},{_g(ind.logmag[:, j].max())},"
                             f"{_g(math.exp(scaled[:, j].max()))}")
 
-    ind = indicator_estimate(logF, angles=angles, radii=radii, logabs=True)
     ind_lines = ["theta,h,bound"]
     excess = -math.inf
     for th, h in zip(ind.angles, ind.h):
@@ -825,8 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search rectangle re_min,re_max,im_min,im_max")
     common.add_argument("--kmax", type=int,
                         help="lattice index bound (synthesizes --rect)")
-    common.add_argument("--nsteps", type=int,
-                        help="integrator mesh override")
+    common.add_argument("--nsteps", type=_int_at_least(8),
+                        help="integrator mesh override (>= 8)")
 
     ap = argparse.ArgumentParser(
         prog="reggespec",
@@ -852,8 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("identity", "energy", "wronskian", "symmetry",
                              "interlace"))
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--count", type=int, default=100,
-                    help="number of sample points")
+    vf.add_argument("--count", type=_int_at_least(1), default=100,
+                    help="number of sample points (>= 1)")
     vf.add_argument("--lam-max", type=float, default=20.0,
                     help="sampling disc radius")
     vf.add_argument("--sign", choices=("plus", "minus"), default="plus",

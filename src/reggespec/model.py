@@ -202,9 +202,6 @@ class ReggeProblem:
         """
         return replace(self, potential=self.potential.reflect())
 
-    def with_potential(self, q: Potential) -> "ReggeProblem":
-        return replace(self, potential=q)
-
 
 def validate_problem(p: ReggeProblem) -> None:
     if not (p.a > 0.0):

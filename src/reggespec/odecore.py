@@ -79,14 +79,6 @@ class DerivState(ScaledState):
     v: np.ndarray = None
     dv: np.ndarray = None
 
-    @property
-    def lam_derivative(self):
-        return self.v * np.exp(self.sigma)
-
-    @property
-    def lam_derivative_prime(self):
-        return self.dv * np.exp(self.sigma)
-
 
 def _as_batch(lam):
     arr = np.asarray(lam, dtype=complex)

@@ -129,15 +129,16 @@ def default_radius_schedule(a: float) -> np.ndarray:
 class IndicatorEstimate:
     """Per-angle tail-sup of ln |f(r e^{i theta})| / r over a radius list.
 
-    samples[i, j] is ln|f| / r at angle i, radius j; h[i] is the sup
-    over the tail (second half) of the schedule -- the finite stand-in
-    for the lim sup defining the indicator function.
+    logmag[i, j] is ln|f| at angle i, radius j and samples[i, j] that
+    over r; h[i] is the sup over the tail (second half) of the schedule --
+    the finite stand-in for the lim sup defining the indicator function.
     """
 
     angles: np.ndarray
     radii: np.ndarray
     samples: np.ndarray
     h: np.ndarray
+    logmag: np.ndarray
 
     @property
     def trapezoid_integral(self) -> float:
@@ -180,7 +181,7 @@ def indicator_estimate(f, angles=None, radii=None,
     tail = max(1, len(radii) // 2)
     h = np.max(samples[:, -tail:], axis=1)
     return IndicatorEstimate(angles=angles, radii=radii,
-                             samples=samples, h=h)
+                             samples=samples, h=h, logmag=logmag)
 
 
 @dataclass(frozen=True)

@@ -188,10 +188,6 @@ class HadamardModel:
         return (_log_E(z, self._vals, self._wts, self.zeroset.order_at_origin)
                 + _tail_log(z, self._rays))
 
-    def log_eval(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        return np.log(self.c) + self.b * z + self.log_E(z)
-
     def eval(self, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.exp(np.log(self.c) + self.b * z + self.log_E(z))

@@ -10,11 +10,13 @@ numpy-vectorised callables of a complex argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment
 
-from .charfn import delta, delta_dot, delta_zero
+from .charfn import (delta, delta_dot, delta_zero, delta_zero_dot,
+                     robin_charfn, robin_dot)
 from .odecore import DEFAULT_STEPS
 from .errors import (
     BoundaryZero,
@@ -22,11 +24,11 @@ from .errors import (
     InterlacingViolation,
     MultiplicityCap,
     NewtonDivergence,
-    NoConvergence,
     Overflow,
     SignViolation,
 )
 from .model import ReggeProblem, Sign, atomic_write_text
+from .reconstruct import two_spectra_robin
 
 __all__ = [
     "Rectangle",
@@ -35,12 +37,15 @@ __all__ = [
     "winding_count",
     "newton_refine",
     "find_zeros",
+    "locate_zeros",
     "compute_spectrum",
+    "robin_zeros",
     "index_eigenvalues",
     "imaginary_axis_zeros",
     "interlace_and_signs",
     "InterlaceReport",
     "pair_symmetry_check",
+    "pair_zeros",
     "write_spectrum_csv",
 ]
 
@@ -96,7 +101,7 @@ class SpectrumEntry:
 @dataclass
 class Spectrum:
     entries: list[SpectrumEntry]
-    sign: Sign
+    sign: Sign | None               # None for the interior function Delta_0
     region: Rectangle
 
     def lambdas(self) -> np.ndarray:
@@ -399,39 +404,60 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
     return merged
 
 
-def compute_spectrum(p: ReggeProblem, sign: Sign, rect: Rectangle,
-                     tol: float = 1e-12, nsteps: int | None = None,
-                     search_nsteps: int | None = None,
-                     model=None) -> Spectrum:
-    """Eigenvalues of the chosen characteristic function inside rect.
+def locate_zeros(f, fprime, rect: Rectangle, a: float, tol: float = 1e-12,
+                 nsteps: int | None = None):
+    """Zeros in rect of f, a characteristic function on [0, a].
 
-    The subdivision search runs on a coarsened integrator mesh (winding
-    counts and Newton seeds tolerate ~1e-6 relative error), then every
-    zero is re-polished at the full mesh so positions and residuals are
-    reported at full accuracy.
+    f(z, nsteps=n) and fprime(z, nsteps=n) evaluate on an n-step mesh.
+    The subdivision search runs on a coarsened mesh, max(512, n/8) steps
+    (winding counts and Newton seeds tolerate ~1e-6 relative error), then
+    every zero is re-polished at the full mesh so positions and residuals
+    are reported at full accuracy.  Returns find_zeros's list.
     """
     full = DEFAULT_STEPS if nsteps is None else int(nsteps)
-    if search_nsteps is None:
-        search_nsteps = max(512, full // 8)
-    search_nsteps = min(int(search_nsteps), full)
-    f_s = lambda z: delta(p, sign, z, nsteps=search_nsteps)
-    fp_s = lambda z: delta_dot(p, sign, z, nsteps=search_nsteps)
-    spu = max(1.0, 0.8 * p.a)
-    zs = find_zeros(f_s, fp_s, rect, tol=tol, samples_per_unit=spu)
+    search_nsteps = min(max(512, full // 8), full)
+    spu = max(1.0, 0.8 * a)
+    zs = find_zeros(partial(f, nsteps=search_nsteps),
+                    partial(fprime, nsteps=search_nsteps), rect, tol=tol,
+                    samples_per_unit=spu)
     if search_nsteps < full and zs:
-        f = lambda z: delta(p, sign, z, nsteps=full)
-        fp = lambda z: delta_dot(p, sign, z, nsteps=full)
         z0 = np.array([z for z, _, _ in zs], dtype=complex)
         mults = np.array([m for _, m, _ in zs])
-        z, res, ok = newton_refine(f, fp, z0, mult=mults, tol=tol)
+        z, res, ok = newton_refine(partial(f, nsteps=full),
+                                   partial(fprime, nsteps=full), z0,
+                                   mult=mults, tol=tol)
         zs = [(complex(z[i]) if ok[i] else zs[i][0], int(mults[i]),
                float(res[i])) for i in range(len(zs))]
+    return zs
+
+
+def compute_spectrum(p: ReggeProblem, sign: Sign | None, rect: Rectangle,
+                     tol: float = 1e-12, nsteps: int | None = None) -> Spectrum:
+    """Zeros of Delta_+ or Delta_- (sign), or of Delta_0 (None), in rect,
+    on `locate_zeros`'s meshes; unindexed (see `index_eigenvalues`)."""
+    if sign is None:
+        f, fp = partial(delta_zero, p), partial(delta_zero_dot, p)
+    else:
+        f, fp = partial(delta, p, sign), partial(delta_dot, p, sign)
+    zs = locate_zeros(f, fp, rect, p.a, tol=tol, nsteps=nsteps)
     entries = [SpectrumEntry(k=None, lam=z, multiplicity=m, residual=r)
                for z, m, r in zs]
-    spec = Spectrum(entries=entries, sign=sign, region=rect)
-    if model is not None:
-        index_eigenvalues(spec, model, sign)
-    return spec
+    return Spectrum(entries=entries, sign=sign, region=rect)
+
+
+def robin_zeros(p: ReggeProblem, rect: Rectangle, averaged: bool = False,
+                nsteps: int | None = None):
+    """Zeros of the Robin function y'(a) + beta y(a) in rect, evaluated
+    as (Delta_+ + Delta_-)/2 when averaged (the two-spectra route), else
+    directly; both polish with its derivative on `locate_zeros`'s meshes."""
+    def f(z, nsteps):
+        if not averaged:
+            return robin_charfn(p, z, nsteps=nsteps)
+        return two_spectra_robin(partial(delta, p, Sign.PLUS, nsteps=nsteps),
+                                 partial(delta, p, Sign.MINUS, nsteps=nsteps),
+                                 z)
+
+    return locate_zeros(f, partial(robin_dot, p), rect, p.a, nsteps=nsteps)
 
 
 # ---- lattice indexing -----------------------------------------------------
@@ -561,15 +587,22 @@ def pair_symmetry_check(spec: Spectrum, tol: float = 1e-8):
     lams = spec.lambdas()
     if len(lams) == 0:
         return True, 0.0
-    mirrored = -np.conj(lams)
-    dist = np.abs(lams[None, :] - mirrored[:, None])
-    row, col = linear_sum_assignment(dist)
-    defect = float(dist[row, col].max())
+    row, col, dist = pair_zeros(-np.conj(lams), lams)
+    defect = float(dist.max())
     ok = defect <= tol
     for i, j in zip(row, col):
         if spec.entries[i].multiplicity != spec.entries[j].multiplicity:
             ok = False
     return ok, defect
+
+
+def pair_zeros(za, zb):
+    """(i, j, |za[i] - zb[j]|) arrays pairing two equally long zero lists
+    by least total distance, i ascending.  Sorting both lists and pairing
+    by position fails where real parts are rounding noise (on i R)."""
+    dist = np.abs(np.subtract.outer(np.asarray(za), np.asarray(zb)))
+    row, col = linear_sum_assignment(dist)
+    return row, col, dist[row, col]
 
 
 # ---- CSV ------------------------------------------------------------------

@@ -14,6 +14,7 @@ from reggespec import (
     energy_identity_residual,
     identity_residual,
     robin_charfn,
+    robin_dot,
     sample_charfn,
     wronskian_delta,
     write_samples_csv,
@@ -94,6 +95,14 @@ def test_robin_is_the_average():
     lam = np.array([1.0 + 0.2j, -4.0])
     avg = 0.5 * (delta(p, Sign.PLUS, lam) + delta(p, Sign.MINUS, lam))
     assert np.abs(robin_charfn(p, lam) - avg).max() < 1e-12
+
+
+def test_robin_dot_is_the_average_derivative():
+    """One derivative march gives (Ddot_+ + Ddot_-)/2."""
+    p = grid_problem(5, complex_q=True)
+    lam = np.array([1.0 + 0.2j, -4.0, 12.5 - 3.0j, 0.0])
+    avg = 0.5 * (delta_dot(p, Sign.PLUS, lam) + delta_dot(p, Sign.MINUS, lam))
+    assert np.all(np.abs(robin_dot(p, lam) - avg) <= 1e-14 * np.abs(avg))
 
 
 def test_energy_identity_documented_value():

@@ -10,8 +10,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from reggespec.charfn import delta_zero, delta_zero_dot
 from reggespec.cli import main
+from reggespec.model import dump_problem
 from reggespec.reconstruct import ZeroSet, write_zeroset_csv
+from reggespec.roots import Rectangle, find_zeros
+
+from conftest import grid_problem
 
 LN6 = math.log(6.0)
 
@@ -117,6 +122,42 @@ def test_spectrum_interior_sign(tmp_path):
     rc2 = main(["spectrum", "--config", cfg, "--sign", "interior",
                 "--rect=-7,7,-1,2", "--predict", "--out", str(out)])
     assert rc2 == 2
+
+
+@pytest.mark.parametrize("rect", [(-7.0, 7.0, -3.0, 3.0),
+                                  (95.0, 115.0, -3.0, 3.0)])
+def test_spectrum_interior_matches_full_mesh_search(tmp_path, rect):
+    """The interior search (coarse mesh, then full-mesh polish) finds the
+    zeros a full-mesh find_zeros on Delta_0 finds, on a complex grid."""
+    p = grid_problem(3, complex_q=True)
+    cfg = tmp_path / "cfg.json"
+    dump_problem(p, str(cfg))
+    out = tmp_path / "interior.csv"
+    assert main(["spectrum", "--config", str(cfg), "--sign", "interior",
+                 "--rect=" + ",".join(map(str, rect)), "--out", str(out)]) == 0
+    got = np.array([complex(float(r["re"]), float(r["im"]))
+                    for r in _read_rows(out)])
+    want = np.array([z for z, _, _ in find_zeros(
+        lambda z: delta_zero(p, z), lambda z: delta_zero_dot(p, z),
+        Rectangle(*rect))])
+    assert len(got) == len(want) > 0
+    dist = np.abs(got[:, None] - want[None, :])
+    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-10
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--rect=-1,1,-1,1", "--nsteps", "0"], "--nsteps"),
+    (["spectrum", "--rect=-1,1,-1,1", "--nsteps=-4"], "--nsteps"),
+    (["verify", "--which", "identity", "--count", "0"], "--count"),
+    (["verify", "--which", "wronskian", "--count", "0"], "--count"),
+], ids=["nsteps-0", "nsteps-negative", "identity-count-0",
+        "wronskian-count-0"])
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    cfg = _cfg(tmp_path, ZERO_POT)
+    rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert flag in err and "Traceback" not in err
 
 
 def test_config_error_paths(tmp_path, capsys):

@@ -18,6 +18,7 @@ from reggespec.roots import (
     interlace_and_signs,
     newton_refine,
     pair_symmetry_check,
+    pair_zeros,
     winding_count,
     write_spectrum_csv,
 )
@@ -121,6 +122,21 @@ def test_pair_symmetry_check():
     ok2, defect2 = pair_symmetry_check(spec)
     assert not ok2
     assert defect2 > 1.0
+
+
+def test_pair_zeros_ignores_rounding_noise_in_real_parts():
+    """Zeros on the imaginary axis carry real parts of rounding size, so
+    sorting by (re, im) orders the two lists differently; pairing by
+    least total distance still matches each zero with its twin."""
+    direct = [-3.8943888316885693 + 0.66538250119551345j,
+              -1.44e-26 + 0.23380315875710131j,
+              4.058e-19 + 2.7554261091443069j]
+    averaged = [-3.8943888316885693 + 0.66538250119551345j,
+                4.058e-19 + 2.7554261091443069j,
+                5.97e-19 + 0.23380315875710134j]
+    row, col, dist = pair_zeros(direct, averaged)
+    assert list(row) == [0, 1, 2] and list(col) == [0, 2, 1]
+    assert dist.max() <= 1e-15
 
 
 def test_imaginary_axis_zero_of_sunk_problem():
