@@ -204,14 +204,18 @@ class CharFnSample:
 def sample_charfn(p: ReggeProblem, sign: Sign, lams, with_derivative: bool = False,
                   nsteps=None) -> list[CharFnSample]:
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    mant, sigma = delta_scaled(p, sign, lams, nsteps=nsteps)
-    vals = mant * np.exp(sigma)
-    ders = delta_dot(p, sign, lams, nsteps=nsteps) if with_derivative else None
+    # the derivative state also carries the value and its scale
+    st = (solve_y_lambda_derivative if with_derivative else solve_y)(
+        p, lams, nsteps=nsteps)
+    scale = np.exp(st.sigma)
+    vals = _form(p, sign.s, lams, st) * scale
+    ders = (_form(p, sign.s, lams, st, dot=True) * scale
+            if with_derivative else None)
     out = []
     for i, lam in enumerate(lams):
         out.append(CharFnSample(
             lam=complex(lam), value=complex(vals[i]),
-            scale_exponent=float(sigma[i]),
+            scale_exponent=float(st.sigma[i]),
             derivative=complex(ders[i]) if with_derivative else None))
     return out
 

@@ -92,6 +92,8 @@ def _parse_rect(spec: str) -> Rectangle:
         a, b, c, d = (float(t) for t in parts)
     except ValueError as exc:
         raise ValidationError(f"--rect: {exc}") from exc
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValidationError(f"--rect values must be finite; got {spec!r}")
     return Rectangle(a, b, c, d)
 
 
@@ -376,13 +378,16 @@ def _verify_wronskian(p, args, tol):
     rng = np.random.default_rng(args.seed)
     lams = _disc_draws(rng, args.count, args.lam_max)
     xs = rng.uniform(0.1 * p.a, 0.9 * p.a, args.count)
+    # samples alternate plus, minus; Delta at x = a is one batch per sign
+    d = np.empty(args.count, dtype=complex)
+    for k, s in enumerate((Sign.PLUS, Sign.MINUS)[:args.count]):
+        d[k::2] = delta(p, s, lams[k::2], nsteps=args.nsteps)
     rows = ["lam_re,lam_im,x,sign,residual_rel"]
     worst = 0.0
     for i, (lam, x) in enumerate(zip(lams, xs)):
         s = Sign.PLUS if i % 2 == 0 else Sign.MINUS
         w = wronskian_delta(p, s, lam, float(x), nsteps=args.nsteps)
-        d = delta(p, s, np.array([lam]), nsteps=args.nsteps)[0]
-        rel = abs(w - d) / max(1.0, abs(d))
+        rel = abs(w - d[i]) / max(1.0, abs(d[i]))
         worst = max(worst, rel)
         rows.append(f"{_g(lam.real)},{_g(lam.imag)},{_g(x)},"
                     f"{s.name.lower()},{_g(rel)}")

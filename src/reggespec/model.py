@@ -14,9 +14,11 @@ symmetric with respect to the imaginary axis.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import enum
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -87,6 +89,8 @@ class Potential:
                 raise ValidationError(
                     f"unknown interpolation {self.interpolation!r}")
             samples = np.asarray(self.samples, dtype=complex)
+            if not np.all(np.isfinite(samples)):
+                raise ValidationError("grid potential samples must be finite")
             object.__setattr__(self, "samples", samples)
             if self.interpolation == "cubic" and len(samples) >= 4:
                 xs = np.linspace(0.0, self.length, len(samples))
@@ -222,15 +226,31 @@ def validate_problem(p: ReggeProblem) -> None:
 
 # ---- JSON config ---------------------------------------------------------
 
+def _finite(z, name: str):
+    if not cmath.isfinite(z):
+        raise ValidationError(f"field {name!r}: must be finite, got {z}")
+    return z
+
+
+def _read_real(node, name: str) -> float:
+    if isinstance(node, bool) or not isinstance(node, numbers.Real):
+        raise ValidationError(f"field {name!r}: expected a number, got {node!r}")
+    try:
+        return _finite(float(node), name)
+    except OverflowError as exc:   # an integer literal beyond float range
+        raise ValidationError(f"field {name!r}: must be finite") from exc
+
+
 def _read_complex(node, name: str) -> complex:
-    if isinstance(node, (int, float)):
-        return complex(node)
     if isinstance(node, dict):
         try:
-            return complex(float(node["re"]), float(node.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            z = complex(float(node["re"]), float(node.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"field {name!r}: bad complex value") from exc
-    raise ValidationError(f"field {name!r}: expected number or {{re, im}}")
+        return _finite(z, name)
+    if isinstance(node, bool) or not isinstance(node, numbers.Real):
+        raise ValidationError(f"field {name!r}: expected number or {{re, im}}")
+    return complex(_read_real(node, name))
 
 
 def _write_complex(z: complex) -> dict:
@@ -239,26 +259,39 @@ def _write_complex(z: complex) -> dict:
 
 
 def problem_from_dict(cfg: dict) -> ReggeProblem:
+    """A problem from its parsed JSON config; every field is checked for
+    its type and for finiteness before any numerics see it."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(
+            f"config must be a JSON object, got {type(cfg).__name__}")
     try:
-        a = float(cfg["a"])
-        alpha0 = float(cfg["alpha0"])
-        alpha = float(cfg["alpha"])
+        a = _read_real(cfg["a"], "a")
+        alpha0 = _read_real(cfg["alpha0"], "alpha0")
+        alpha = _read_real(cfg["alpha"], "alpha")
         beta0 = _read_complex(cfg["beta0"], "beta0")
         beta = _read_complex(cfg["beta"], "beta")
         pot = cfg["potential"]
+        if not isinstance(pot, dict):
+            raise ValidationError(
+                f"field 'potential': expected an object with a 'type', "
+                f"got {pot!r}")
         kind = pot["type"]
+        if kind == "zero":
+            q = Potential.zero(a)
+        elif kind == "constant":
+            q = Potential.constant(
+                _read_complex(pot.get("value", 0.0), "value"), a)
+        elif kind == "grid":
+            samples = pot["samples"]
+            if not isinstance(samples, (list, tuple, np.ndarray)):
+                raise ValidationError(
+                    f"field 'samples': expected a list, got {samples!r}")
+            q = Potential.grid([_read_complex(s, "samples") for s in samples],
+                               a, pot.get("interpolation", "linear"))
+        else:
+            raise ValidationError(f"unknown potential type {kind!r}")
     except KeyError as exc:
         raise ValidationError(f"missing config field: {exc}") from exc
-
-    if kind == "zero":
-        q = Potential.zero(a)
-    elif kind == "constant":
-        q = Potential.constant(_read_complex(pot.get("value", 0.0), "value"), a)
-    elif kind == "grid":
-        samples = [_read_complex(s, "samples") for s in pot["samples"]]
-        q = Potential.grid(samples, a, pot.get("interpolation", "linear"))
-    else:
-        raise ValidationError(f"unknown potential type {kind!r}")
 
     return ReggeProblem(a=a, alpha0=alpha0, beta0=beta0, alpha=alpha,
                         beta=beta, potential=q,
@@ -293,7 +326,7 @@ def load_problem(path_or_dict) -> ReggeProblem:
     with open(path_or_dict, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, or an over-long integer
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     return problem_from_dict(cfg)
 

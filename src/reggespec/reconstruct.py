@@ -368,14 +368,19 @@ def hadamard_build(zs: ZeroSet, selector: str, c0_value: complex,
     # off-lattice probes.  Per-block fits keep the test immune to the
     # slowly varying truncation damping of E.
     probe_ns = ns[:min(6, len(ns))]
+    # only bm * ys depends on m: the product terms are evaluated once per
+    # probe block, and the sum keeps its left-to-right rounding order
+    probes = []
+    for n in probe_ns:
+        ys = 2.0 * math.pi * n + _PROBE_OFFSETS
+        probes.append((ys, _log_E(ys.astype(complex), vals, wts, s),
+                       _tail_log(ys.astype(complex), rays), np.log(ys)))
     scores = {}
     for m in range(-3, 4):
         bm = b_est + 1j * m
         resid = []
-        for n in probe_ns:
-            ys = 2.0 * math.pi * n + _PROBE_OFFSETS
-            lv = (bm * ys + _log_E(ys.astype(complex), vals, wts, s)
-                  + _tail_log(ys.astype(complex), rays) - np.log(ys))
+        for ys, le, tl, ly in probes:
+            lv = bm * ys + le + tl - ly
             v = np.exp(lv)
             A = np.stack([np.cos(ys), np.sin(ys)], axis=1).astype(complex)
             coef, *_ = np.linalg.lstsq(A, v, rcond=None)

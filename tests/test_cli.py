@@ -178,6 +178,34 @@ def test_config_error_paths(tmp_path, capsys):
                  "--threads", "0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("change, argv, name", [
+    ({}, ["--rect=-inf,7,-1,2"], "--rect"),
+    ({"a": math.inf}, [], "'a'"),
+    ({"a": "x"}, [], "'a'"),
+    ([ZERO_POT], [], "JSON object"),
+    ({"potential": "zero"}, [], "'potential'"),
+    ({"potential": {"type": "grid", "samples": [0.0, math.nan, 0.0, 0.0],
+                    "interpolation": "cubic"}}, [], "'samples'"),
+    ({"beta0": math.nan}, [], "'beta0'"),
+    ({"a": 10 ** 400}, [], "'a'"),
+    (json.dumps(ZERO_POT).replace("3.0", "9" * 5000), [], "not valid JSON"),
+], ids=["rect-inf", "a-inf", "a-string", "top-level-list", "potential-string",
+        "nan-sample", "nan-beta0", "a-beyond-float", "alpha-too-long"])
+def test_bad_inputs_are_config_errors(tmp_path, capsys, change, argv, name):
+    """Each bad config (changed fields, another JSON value, or raw text)
+    or flag exits 2 with one message naming it, before any solver runs."""
+    if isinstance(change, dict):
+        change = dict(ZERO_POT, **change)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(change if isinstance(change, str) else json.dumps(change))
+    rc = main(["spectrum", "--config", str(cfg),
+               "--out", str(tmp_path / "x.csv")]
+              + (argv or ["--rect=-7,7,-1,2"]))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert name in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_overflowing_search_mesh_exits_3(tmp_path, capsys):
     """Re lam ~ 3000 is beyond what the 512-step search mesh represents:

@@ -1,8 +1,9 @@
 """The narrative demos run to completion.
 
-Demos 01, 02, 06 and 07 call the charfn, roots and partialinv entry
-points directly.  Each runs in a subprocess with src/ on PYTHONPATH and
-must exit 0.
+Every demo runs: they call the charfn, roots, odecore, asympt,
+reconstruct and partialinv entry points directly (05 is the one demo
+that rebuilds a function with hadamard_build).  Each runs in a
+subprocess with src/ on PYTHONPATH and must exit 0.
 """
 
 import os
@@ -17,6 +18,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("name", ["01_spectrum_basics.py",
                                   "02_identity_checks.py",
+                                  "03_kernel_representation.py",
+                                  "04_asymptotics_and_recovery.py",
+                                  "05_hadamard_rebuild.py",
                                   "06_even_and_two_spectra.py",
                                   "07_partial_overlap.py"])
 def test_demo_runs(tmp_path, name):

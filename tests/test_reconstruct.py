@@ -141,6 +141,28 @@ def test_hadamard_truncation_sweep_settles():
     assert all(d1 < d0 for d0, d1 in zip(diffs, diffs[1:]))
 
 
+def test_hadamard_probe_products_are_evaluated_once_per_block(monkeypatch):
+    """The branch repair tries 7 shifts of b at 6 probe blocks, but only
+    b z depends on the shift: ln E and the lattice tail are evaluated
+    once for the sampling ladder and once per probe block."""
+    import reggespec.reconstruct as rc
+
+    calls = {"_log_E": 0, "_tail_log": 0}
+    for name in calls:
+        orig = getattr(rc, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(rc, name, counted)
+    zs = ZeroSet(zeros=[(k * math.pi + 0.5j * LN6, 1)
+                        for k in range(-1500, 1501)],
+                 order_at_origin=1)
+    model = hadamard_build(zs, "c1", 5.0)
+    assert model.branch_shift != 0
+    assert calls == {"_log_E": 7, "_tail_log": 7}
+
+
 def test_hadamard_input_guards():
     zs = _cos_zeroset(100)
     with pytest.raises(InconsistentInput):
