@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCase, DegenerateSigma, InconsistentInput
-from .model import ReggeProblem, Sign, atomic_write_text
+from .model import ReggeProblem, Sign, write_csv
 
 __all__ = [
     "AsymptoticModel",
@@ -159,10 +159,7 @@ def residual_tail(sp, m: AsymptoticModel, s: Sign, min_abs_k: int = 5):
 
 
 def write_residual_tail_csv(path: str, pairs) -> None:
-    lines = ["k,re,im"]
-    for k, b in pairs:
-        lines.append(f"{k},{b.real:.17g},{b.imag:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "k,re,im", pairs)
 
 
 # ---- the leading trig polynomial ------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ReggeProblem, Sign, atomic_write_text
+from .model import ReggeProblem, Sign, write_csv
 from .odecore import (
     DerivState,
     solve_phi,
@@ -222,8 +222,5 @@ def sample_charfn(p: ReggeProblem, sign: Sign, lams, with_derivative: bool = Fal
 
 def write_samples_csv(samples: list[CharFnSample], path: str) -> None:
     """Write samples atomically with 17 significant digits."""
-    lines = ["λ_re,λ_im,value_re,value_im"]
-    for s in samples:
-        lines.append(f"{s.lam.real:.17g},{s.lam.imag:.17g},"
-                     f"{s.value.real:.17g},{s.value.imag:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "λ_re,λ_im,value_re,value_im",
+              ((s.lam, s.value) for s in samples))

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (all checks passed), 1 a verification or
 comparison failed, 2 config/usage error (out-of-range flags included:
---nsteps >= 8, --count >= 1), 3 numerical failure inside a solver.
+--nsteps >= 8, --count, --kmax >= 1, --samples >= 2, --trunc >= 32,
+--angles >= 4; --tol, --lam-max, --tau-max, --window, --split, --b-plus,
+--b-minus finite and > 0), 3 numerical failure inside a solver.
 Numeric output is printed with 17 significant digits so values
 round-trip losslessly; every file is written to a temporary name in the
 same directory and renamed, so a failing run leaves no partial artifacts.
@@ -29,7 +31,8 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .model import ReggeProblem, Sign, atomic_write_text, load_problem
+from .model import (ReggeProblem, Sign, atomic_write_text, load_problem,
+                    write_csv)
 from .charfn import delta, energy_terms, identity_terms, wronskian_delta
 from .roots import (
     Rectangle,
@@ -74,7 +77,7 @@ __all__ = ["build_parser", "main"]
 # ---- small helpers ---------------------------------------------------------
 
 def _g(x) -> str:
-    """17 significant digits; lossless float round trip."""
+    """17 significant digits for printed lines; files go through write_csv."""
     return f"{float(x):.17g}"
 
 
@@ -120,10 +123,7 @@ def _parse_floats(spec: str, flag: str) -> np.ndarray:
 
 
 def _tol(args, default: float) -> float:
-    t = default if args.tol is None else args.tol
-    if not t > 0:
-        raise ValidationError(f"tolerance must be positive, got {t}")
-    return t
+    return default if args.tol is None else args.tol
 
 
 def _int_at_least(lo: int):
@@ -135,6 +135,17 @@ def _int_at_least(lo: int):
         return value
     parse.__name__ = "int"      # argparse names the type in its messages
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0, else a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
 
 
 def _need(value, flag: str):
@@ -160,8 +171,6 @@ def _auto_rect(p: ReggeProblem, model, sign: Sign | None, kmax) -> Rectangle:
     """
     if kmax is None:
         raise ValidationError("give --rect or --kmax")
-    if kmax < 1:
-        raise ValidationError(f"--kmax must be >= 1, got {kmax}")
     if sign is None:
         shift = 0.0
     else:
@@ -311,18 +320,12 @@ def cmd_spectrum(args) -> int:
             raise ValidationError(
                 "--predict unavailable: degenerate lattice "
                 "(alpha0 = 1 or alpha = 1)")
-        lines = ["k,re,im,multiplicity,residual,predicted_re,predicted_im"]
-        for e in spec.entries:
-            if e.k is None:
-                pr_re = pr_im = ""
-                ktxt = ""
-            else:
-                ktxt = str(e.k)
-                pr = predicted_lambda(model, sign, e.k)
-                pr_re, pr_im = _g(pr.real), _g(pr.imag)
-            lines.append(f"{ktxt},{_g(e.lam.real)},{_g(e.lam.imag)},"
-                         f"{e.multiplicity},{_g(e.residual)},{pr_re},{pr_im}")
-        atomic_write_text(out, "\n".join(lines) + "\n")
+        write_csv(out, "k,re,im,multiplicity,residual,predicted_re,"
+                  "predicted_im",
+                  ((e.k, e.lam, e.multiplicity, e.residual,
+                    *((None, None) if e.k is None
+                      else (predicted_lambda(model, sign, e.k),)))
+                   for e in spec.entries))
     else:
         write_spectrum_csv(spec, out)
 
@@ -344,11 +347,10 @@ def cmd_spectrum(args) -> int:
 
 def _disc_draws(rng, n: int, radius: float) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-    th = rng.uniform(0.0, 2.0 * math.pi, n)
-    return r * np.exp(1j * th)
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
 
 
-def _verify_identity(p, args, tol):
+def _verify_identity(p, args):
     rng = np.random.default_rng(args.seed)
     lams = _disc_draws(rng, args.count, args.lam_max)
     plus, minus, quad = identity_terms(p, lams, nsteps=args.nsteps)
@@ -357,24 +359,22 @@ def _verify_identity(p, args, tol):
     scale = np.maximum(1.0, np.maximum(np.abs(quad), np.maximum(
         np.abs(plus), np.abs(minus))))
     rel = res / scale
-    rows = [f"{_g(z.real)},{_g(z.imag)},{_g(r)},{_g(s)}"
-            for z, r, s in zip(lams, res, rel)]
-    return float(rel.max()), ["lam_re,lam_im,residual_abs,residual_rel"] + rows
+    return (float(rel.max()), "lam_re,lam_im,residual_abs,residual_rel",
+            zip(lams, res, rel))
 
 
-def _verify_energy(p, args, tol):
+def _verify_energy(p, args):
     rng = np.random.default_rng(args.seed)
     lams = _disc_draws(rng, args.count, args.lam_max)
     lhs, *terms = energy_terms(p, lams, nsteps=args.nsteps)
     res = np.abs(sum(terms) - lhs)
     # the boundary terms of the identity set the comparison scale
     rel = res / np.maximum(1.0, np.maximum.reduce(np.abs(terms)))
-    rows = [f"{_g(z.real)},{_g(z.imag)},{_g(r)},{_g(s)}"
-            for z, r, s in zip(lams, res, rel)]
-    return float(rel.max()), ["lam_re,lam_im,residual_abs,residual_rel"] + rows
+    return (float(rel.max()), "lam_re,lam_im,residual_abs,residual_rel",
+            zip(lams, res, rel))
 
 
-def _verify_wronskian(p, args, tol):
+def _verify_wronskian(p, args):
     rng = np.random.default_rng(args.seed)
     lams = _disc_draws(rng, args.count, args.lam_max)
     xs = rng.uniform(0.1 * p.a, 0.9 * p.a, args.count)
@@ -382,16 +382,14 @@ def _verify_wronskian(p, args, tol):
     d = np.empty(args.count, dtype=complex)
     for k, s in enumerate((Sign.PLUS, Sign.MINUS)[:args.count]):
         d[k::2] = delta(p, s, lams[k::2], nsteps=args.nsteps)
-    rows = ["lam_re,lam_im,x,sign,residual_rel"]
-    worst = 0.0
+    rows, worst = [], 0.0
     for i, (lam, x) in enumerate(zip(lams, xs)):
         s = Sign.PLUS if i % 2 == 0 else Sign.MINUS
         w = wronskian_delta(p, s, lam, float(x), nsteps=args.nsteps)
         rel = abs(w - d[i]) / max(1.0, abs(d[i]))
         worst = max(worst, rel)
-        rows.append(f"{_g(lam.real)},{_g(lam.imag)},{_g(x)},"
-                    f"{s.name.lower()},{_g(rel)}")
-    return worst, rows
+        rows.append((lam, x, s.name.lower(), rel))
+    return worst, "lam_re,lam_im,x,sign,residual_rel", rows
 
 
 def cmd_verify(args) -> int:
@@ -403,9 +401,9 @@ def cmd_verify(args) -> int:
                           "wronskian": 1e-8}[which])
         fn = {"identity": _verify_identity, "energy": _verify_energy,
               "wronskian": _verify_wronskian}[which]
-        worst, rows = fn(p, args, tol)
+        worst, header, rows = fn(p, args)
         if args.out is not None:
-            atomic_write_text(args.out, "\n".join(rows) + "\n")
+            write_csv(args.out, header, rows)
         ok = worst <= tol
         print(f"{'PASS' if ok else 'FAIL'} {which}: max relative residual "
               f"{_g(worst)} (tol {_g(tol)}, {args.count} samples, "
@@ -439,11 +437,8 @@ def cmd_verify(args) -> int:
     taus = imaginary_axis_zeros(p, tau_max=args.tau_max, nsteps=args.nsteps)
     rep = interlace_and_signs(p, taus, nsteps=args.nsteps)
     if args.out is not None:
-        rows = ["tau,sign_value_dot,sign_value_zero"]
-        for t, sd, sz in zip(rep.taus, rep.sign_values_dot,
-                             rep.sign_values_zero):
-            rows.append(f"{_g(t)},{_g(sd)},{_g(sz)}")
-        atomic_write_text(args.out, "\n".join(rows) + "\n")
+        write_csv(args.out, "tau,sign_value_dot,sign_value_zero",
+                  zip(rep.taus, rep.sign_values_dot, rep.sign_values_zero))
     wit = ", ".join(_g(t) for t in rep.taus) if rep.taus else "none"
     n = len(rep.taus)
     print(f"{'PASS' if rep.ok else 'FAIL'} interlace: "
@@ -514,10 +509,7 @@ def _recon_hadamard(args) -> int:
     xs = _parse_grid(args.grid)
     vals = np.atleast_1d(model.eval(xs.astype(complex)))
     out = _need(args.out, "--out")
-    lines = ["x,re,im"]
-    for x, v in zip(xs, vals):
-        lines.append(f"{_g(x)},{_g(v.real)},{_g(v.imag)}")
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    write_csv(out, "x,re,im", zip(xs, vals))
     print(f"exponent b = {_cg(model.b)}")
     print(f"constant c = {_cg(model.c)}")
     print(f"selector {model.selector}, {model.truncation} zeros kept, "
@@ -555,11 +547,8 @@ def _recon_even(args) -> int:
     err = np.abs(recon - direct)
     rel = err / np.maximum(1.0, np.abs(direct))
     out = _need(args.out, "--out")
-    lines = ["lam,direct_re,direct_im,recon_re,recon_im,abs_err,rel_err"]
-    for x, d, r, e, q in zip(path, direct, recon, err, rel):
-        lines.append(f"{_g(x)},{_g(d.real)},{_g(d.imag)},"
-                     f"{_g(r.real)},{_g(r.imag)},{_g(e)},{_g(q)}")
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    write_csv(out, "lam,direct_re,direct_im,recon_re,recon_im,abs_err,rel_err",
+              zip(path, direct, recon, err, rel))
     worst = float(rel.max())
     ok = worst <= tol
     print(f"{'PASS' if ok else 'FAIL'} even reconstruction: max relative "
@@ -578,19 +567,17 @@ def _recon_two_spectra(args) -> int:
     za = [z for z, _, _ in robin_zeros(p, rect, averaged=True,
                                        nsteps=args.nsteps)]
     out = _need(args.out, "--out")
-    lines = ["re_direct,im_direct,re_averaged,im_averaged,distance"]
-    worst = 0.0
+    rows, worst = [], 0.0
     if len(za) != len(zd):
         worst = math.inf
-        lines.append(f"# count mismatch: {len(zd)} direct vs {len(za)} "
-                     f"averaged")
+        rows.append(f"# count mismatch: {len(zd)} direct vs {len(za)} "
+                    f"averaged")
     else:
         for i, j, dist in zip(*pair_zeros(zd, za)):
-            u, v = zd[i], za[j]
             worst = max(worst, dist)
-            lines.append(f"{_g(u.real)},{_g(u.imag)},"
-                         f"{_g(v.real)},{_g(v.imag)},{_g(dist)}")
-    atomic_write_text(out, "\n".join(lines) + "\n")
+            rows.append((zd[i], za[j], dist))
+    write_csv(out, "re_direct,im_direct,re_averaged,im_averaged,distance",
+              rows)
     ok = worst <= tol
     print(f"{'PASS' if ok else 'FAIL'} two-spectra: {len(zd)} Robin zeros, "
           f"max distance {_g(worst)} (tol {_g(tol)})")
@@ -599,9 +586,8 @@ def _recon_two_spectra(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    run = {"hadamard": _recon_hadamard, "even": _recon_even,
-           "two-spectra": _recon_two_spectra}[args.mode]
-    return run(args)
+    return {"hadamard": _recon_hadamard, "even": _recon_even,
+            "two-spectra": _recon_two_spectra}[args.mode](args)
 
 
 # ---- partial ----------------------------------------------------------------
@@ -616,8 +602,6 @@ def cmd_partial(args) -> int:
     else:
         split = _need(args.split, "--split")
         b_plus = b_minus = split
-    if not (b_plus > 0 and b_minus > 0):
-        raise ValidationError("interval shares must be positive")
     b = 0.5 * (b_plus + b_minus)
     out = _need(args.out, "--out")
 
@@ -627,10 +611,7 @@ def cmd_partial(args) -> int:
     radii = (_parse_floats(args.radii, "--radii") if args.radii is not None
              else default_radius_schedule(a))
     tsched = _parse_floats(args.tsched, "--tsched")
-    nang = args.angles
-    if nang < 4:
-        raise ValidationError(f"--angles must be >= 4, got {nang}")
-    angles = np.linspace(0.0, 2.0 * math.pi, nang, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, args.angles, endpoint=False)
 
     def logF(z):
         return f_mismatch_logabs(p1, p2, b, z, nsteps=args.nsteps)
@@ -641,17 +622,11 @@ def cmd_partial(args) -> int:
     with np.errstate(invalid="ignore"):
         scaled = ind.logmag - np.log(radii)[None, :] \
             - 2.0 * b * radii[None, :] * np.abs(np.sin(angles))[:, None]
-    growth_lines = ["r,sup_logabs_F,scaled_sup"]
-    for j, r in enumerate(radii):
-        growth_lines.append(f"{_g(r)},{_g(ind.logmag[:, j].max())},"
-                            f"{_g(math.exp(scaled[:, j].max()))}")
-
-    ind_lines = ["theta,h,bound"]
-    excess = -math.inf
-    for th, h in zip(ind.angles, ind.h):
-        bound = 2.0 * b * abs(math.sin(th))
-        excess = max(excess, h - bound)
-        ind_lines.append(f"{_g(th)},{_g(h)},{_g(bound)}")
+    # math.exp per radius: np.exp rounds some last digits differently
+    growth = [(r, ind.logmag[:, j].max(), math.exp(scaled[:, j].max()))
+              for j, r in enumerate(radii)]
+    bounds = [2.0 * b * abs(math.sin(th)) for th in ind.angles]
+    excess = max([-math.inf, *(h - bd for h, bd in zip(ind.h, bounds))])
 
     sp, notes_p = refine_subset(p1, model, Sign.PLUS, kmax, args.nsteps)
     sm, notes_m = refine_subset(p1, model, Sign.MINUS, kmax, args.nsteps)
@@ -670,10 +645,6 @@ def cmd_partial(args) -> int:
     for name, pairs in (("plus", sp), ("minus", sm)):
         zs = ZeroSet(zeros=[(z, 1) for _, z in pairs], order_at_origin=0)
         dens[name] = density_check(zs, a, dens_radii, window=args.window)
-    dens_lines = ["r,ratio_plus,ratio_minus"]
-    for i, r in enumerate(dens_radii):
-        dens_lines.append(f"{_g(r)},{_g(dens['plus'].ratios[i])},"
-                          f"{_g(dens['minus'].ratios[i])}")
 
     ssp, snotes_p = sparse_subset(model, Sign.PLUS, b_plus, sp)
     ssm, snotes_m = sparse_subset(model, Sign.MINUS, b_minus, sm)
@@ -682,20 +653,22 @@ def cmd_partial(args) -> int:
             "rescaled-lattice subsets came back empty; widen --kmax "
             "or enlarge the split")
     dev = weighted_deviation(ssp, ssm, b_plus, b_minus, model)
-    dev_lines = [
-        "total,plus_sum,minus_sum,plus_jmin,plus_jmax,minus_jmin,minus_jmax",
-        f"{_g(dev.total)},{_g(dev.plus_sum)},{_g(dev.minus_sum)},"
-        f"{dev.plus_range[0]},{dev.plus_range[1]},"
-        f"{dev.minus_range[0]},{dev.minus_range[1]}",
-    ]
 
     diag = critical_diagnostics(p1, p2, b_plus, b_minus, (ssp, ssm), tsched,
                                 nsteps=args.nsteps)
 
-    reports = {"growth": growth_lines, "indicator": ind_lines,
-               "density": dens_lines, "deviation": dev_lines}
-    for name, lines in reports.items():
-        atomic_write_text(f"{out}_{name}.csv", "\n".join(lines) + "\n")
+    reports = {
+        "growth": ("r,sup_logabs_F,scaled_sup", growth),
+        "indicator": ("theta,h,bound", zip(ind.angles, ind.h, bounds)),
+        "density": ("r,ratio_plus,ratio_minus", zip(
+            dens_radii, dens["plus"].ratios, dens["minus"].ratios)),
+        "deviation": ("total,plus_sum,minus_sum,plus_jmin,plus_jmax,"
+                      "minus_jmin,minus_jmax",
+                      [(dev.total, dev.plus_sum, dev.minus_sum,
+                        *dev.plus_range, *dev.minus_range)]),
+    }
+    for name, (header, rows) in reports.items():
+        write_csv(f"{out}_{name}.csv", header, rows)
     write_critical_csv(f"{out}_e0.csv", diag)
 
     print(f"partial diagnostics: a {_g(a)}, split b {_g(b)} "
@@ -751,13 +724,14 @@ def _read_points_csv(path: str) -> list:
 
 def cmd_plot(args) -> int:
     out = _need(args.out, "--out")
+    if args.config is not None:
+        p = load_problem(args.config)
+        model = asymptotic_model(p, strict=False)
+        sign = _sign_of(args.sign)
     if args.infile is not None:
         pts = _read_points_csv(args.infile)
         title = args.title if args.title is not None else args.infile
     elif args.config is not None:
-        p = load_problem(args.config)
-        model = asymptotic_model(p, strict=False)
-        sign = _sign_of(args.sign)
         rect = (_parse_rect(args.rect) if args.rect is not None
                 else _auto_rect(p, model, sign, args.kmax))
         spec = compute_spectrum(p, sign, rect, nsteps=args.nsteps)
@@ -771,15 +745,13 @@ def cmd_plot(args) -> int:
     if args.overlay:
         if args.config is None:
             raise ValidationError("--overlay needs --config for the lattice")
-        p = load_problem(args.config)
-        model = asymptotic_model(p, strict=False)
         if model.case_sign == 0:
             raise ValidationError("--overlay unavailable: degenerate lattice")
         xs = [x for x, _ in pts] or [0.0]
         ys = [y for _, y in pts] or [0.0]
         box = Rectangle(min(xs) - 1.0, max(xs) + 1.0,
                         min(ys) - 1.0, max(ys) + 1.0)
-        overlay = _lattice_overlay(p, model, _sign_of(args.sign), box)
+        overlay = _lattice_overlay(p, model, sign, box)
 
     atomic_write_text(out, _svg_scatter(pts, overlay, title))
     print(f"wrote {out} ({len(pts)} points"
@@ -793,11 +765,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="problem config JSON")
     common.add_argument("--out", help="output path (prefix for partial)")
-    common.add_argument("--tol", type=float, help="tolerance override")
+    common.add_argument("--tol", type=_positive_float,
+                        help="tolerance override (> 0)")
     common.add_argument("--rect", metavar="A,B,C,D",
                         help="search rectangle re_min,re_max,im_min,im_max")
-    common.add_argument("--kmax", type=int,
-                        help="lattice index bound (synthesizes --rect)")
+    common.add_argument("--kmax", type=_int_at_least(1),
+                        help="lattice index bound (>= 1; synthesizes --rect)")
     common.add_argument("--nsteps", type=_int_at_least(8),
                         help="integrator mesh override (>= 8)")
 
@@ -827,12 +800,12 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--count", type=_int_at_least(1), default=100,
                     help="number of sample points (>= 1)")
-    vf.add_argument("--lam-max", type=float, default=20.0,
-                    help="sampling disc radius")
+    vf.add_argument("--lam-max", type=_positive_float, default=20.0,
+                    help="sampling disc radius (> 0)")
     vf.add_argument("--sign", choices=("plus", "minus"), default="plus",
                     help="spectrum sign for the symmetry check")
-    vf.add_argument("--tau-max", type=float, default=10.0,
-                    help="scan depth for the interlacing check")
+    vf.add_argument("--tau-max", type=_positive_float, default=10.0,
+                    help="scan depth for the interlacing check (> 0)")
     vf.set_defaults(func=cmd_verify)
 
     asym = sub.add_parser("asympt", parents=[common],
@@ -852,33 +825,33 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which leading coefficient is known")
     rc.add_argument("--c0", default="1", metavar="RE[,IM]",
                     help="value of the known coefficient")
-    rc.add_argument("--trunc", type=int, default=10000,
-                    help="zeros kept in the canonical product")
+    rc.add_argument("--trunc", type=_int_at_least(32), default=10000,
+                    help="zeros kept in the canonical product (>= 32)")
     rc.add_argument("--grid", default="-5,5,201", metavar="LO,HI,N",
                     help="real sample grid for the output CSV")
-    rc.add_argument("--lam-max", type=float, default=4.0 * math.pi,
-                    help="comparison range (even mode)")
-    rc.add_argument("--samples", type=int, default=257,
-                    help="comparison points (even mode)")
+    rc.add_argument("--lam-max", type=_positive_float, default=4.0 * math.pi,
+                    help="comparison range (even mode, > 0)")
+    rc.add_argument("--samples", type=_int_at_least(2), default=257,
+                    help="comparison points (even mode, >= 2)")
     rc.set_defaults(func=cmd_reconstruct)
 
     pt = sub.add_parser("partial", parents=[common],
                         help="mismatch diagnostics for two problems "
                              "sharing the interval")
     pt.add_argument("--config2", help="second problem config JSON")
-    pt.add_argument("--split", type=float,
+    pt.add_argument("--split", type=_positive_float,
                     help="agreement boundary b in (0, a)")
-    pt.add_argument("--b-plus", type=float,
-                    help="plus-subset share (with --b-minus)")
-    pt.add_argument("--b-minus", type=float,
-                    help="minus-subset share (with --b-plus)")
-    pt.add_argument("--angles", type=int, default=32,
-                    help="angle grid size for the indicator")
+    pt.add_argument("--b-plus", type=_positive_float,
+                    help="plus-subset share (> 0, with --b-minus)")
+    pt.add_argument("--b-minus", type=_positive_float,
+                    help="minus-subset share (> 0, with --b-plus)")
+    pt.add_argument("--angles", type=_int_at_least(4), default=32,
+                    help="angle grid size for the indicator (>= 4)")
     pt.add_argument("--radii", help="comma list of probe radii")
     pt.add_argument("--tsched", default="50,100,200,400,800,1600",
                     help="comma list of t values for the E0 profile")
-    pt.add_argument("--window", type=float, default=0.1,
-                    help="relative window for the density check")
+    pt.add_argument("--window", type=_positive_float, default=0.1,
+                    help="relative window for the density check (> 0)")
     pt.set_defaults(func=cmd_partial)
 
     pl = sub.add_parser("plot", parents=[common],

@@ -44,6 +44,7 @@ __all__ = [
     "problem_from_dict",
     "problem_to_dict",
     "atomic_write_text",
+    "write_csv",
 ]
 
 
@@ -347,6 +348,27 @@ def atomic_write_text(path: str, text: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _cell(v) -> str:
+    if v is None or isinstance(v, str):
+        return v or ""
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    if isinstance(v, (float, np.floating)):
+        return f"{v:.17g}"
+    return f"{v.real:.17g},{v.imag:.17g}"
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """Write a CSV table atomically.  A row given as a string (a ``#``
+    line) is written as it stands; in other rows None is an empty cell,
+    a string or an integer is written as is, a real number with %.17g
+    (a lossless round trip), a complex number as two columns re,im."""
+    lines = [header]
+    for row in rows:
+        lines.append(row if isinstance(row, str) else ",".join(map(_cell, row)))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def dump_problem(p: ReggeProblem, path: str) -> None:

@@ -33,7 +33,7 @@ from .errors import (
     Overflow,
     TruncationDominates,
 )
-from .model import ReggeProblem, Sign, atomic_write_text
+from .model import ReggeProblem, Sign, write_csv
 from .odecore import solve_y
 from .reconstruct import ZeroSet
 from .roots import newton_refine
@@ -437,9 +437,7 @@ def critical_diagnostics(p1: ReggeProblem, p2: ReggeProblem,
 
 def write_critical_csv(path: str, diag: CriticalDiagnostics) -> None:
     """t, |G|, |Phi|, |Phi0|, |E0| rows, written atomically."""
-    lines = ["t,G_abs,Phi_abs,Phi0_abs,E0_abs"]
-    for i, tv in enumerate(diag.t):
-        lines.append(f"{tv:.17g},{abs(diag.G[i]):.17g},"
-                     f"{abs(diag.Phi[i]):.17g},{abs(diag.Phi0[i]):.17g},"
-                     f"{abs(diag.E0[i]):.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # scalar abs per element: np.abs rounds some last digits differently
+    write_csv(path, "t,G_abs,Phi_abs,Phi0_abs,E0_abs",
+              ((tv, abs(diag.G[i]), abs(diag.Phi[i]), abs(diag.Phi0[i]),
+                abs(diag.E0[i])) for i, tv in enumerate(diag.t)))

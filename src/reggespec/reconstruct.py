@@ -49,7 +49,7 @@ from .errors import (
     MisalignedInput,
     ZeroAtOrigin,
 )
-from .model import atomic_write_text
+from .model import write_csv
 
 __all__ = [
     "ZeroSet",
@@ -128,10 +128,8 @@ def zeroset_from_spectrum(sp, origin_tol: float = 1e-8) -> ZeroSet:
 
 
 def write_zeroset_csv(path: str, zs: ZeroSet) -> None:
-    lines = [f"# order_at_origin={zs.order_at_origin}", "re,im,multiplicity"]
-    for z, m in zs.zeros:
-        lines.append(f"{z.real:.17g},{z.imag:.17g},{m}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, f"# order_at_origin={zs.order_at_origin}\n"
+              "re,im,multiplicity", zs.zeros)
 
 
 def read_zeroset_csv(path: str) -> ZeroSet:

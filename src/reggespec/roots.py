@@ -27,7 +27,7 @@ from .errors import (
     Overflow,
     SignViolation,
 )
-from .model import ReggeProblem, Sign, atomic_write_text
+from .model import ReggeProblem, Sign, write_csv
 from .reconstruct import two_spectra_robin
 
 __all__ = [
@@ -608,9 +608,5 @@ def pair_zeros(za, zb):
 # ---- CSV ------------------------------------------------------------------
 
 def write_spectrum_csv(spec: Spectrum, path: str) -> None:
-    lines = ["k,re,im,multiplicity,residual"]
-    for e in spec.entries:
-        k = "" if e.k is None else str(e.k)
-        lines.append(f"{k},{e.lam.real:.17g},{e.lam.imag:.17g},"
-                     f"{e.multiplicity},{e.residual:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "k,re,im,multiplicity,residual",
+              ((e.k, e.lam, e.multiplicity, e.residual) for e in spec.entries))

@@ -150,8 +150,26 @@ def test_spectrum_interior_matches_full_mesh_search(tmp_path, rect):
     (["spectrum", "--rect=-1,1,-1,1", "--nsteps=-4"], "--nsteps"),
     (["verify", "--which", "identity", "--count", "0"], "--count"),
     (["verify", "--which", "wronskian", "--count", "0"], "--count"),
+    (["verify", "--which", "identity", "--lam-max", "nan"], "--lam-max"),
+    (["verify", "--which", "identity", "--lam-max", "inf"], "--lam-max"),
+    (["verify", "--which", "identity", "--lam-max=-3"], "--lam-max"),
+    (["verify", "--which", "interlace", "--tau-max=-1"], "--tau-max"),
+    (["verify", "--which", "interlace", "--tau-max", "0"], "--tau-max"),
+    (["verify", "--which", "interlace", "--tau-max", "nan"], "--tau-max"),
+    (["spectrum", "--rect=-1,1,-1,1", "--tol", "inf"], "--tol"),
+    (["reconstruct", "--mode", "even", "--samples=-3"], "--samples"),
+    (["reconstruct", "--mode", "hadamard", "--trunc", "4"], "--trunc"),
+    (["reconstruct", "--mode", "hadamard", "--trunc=-5"], "--trunc"),
+    (["reconstruct", "--mode", "hadamard", "--trunc", "31"], "--trunc"),
+    (["partial", "--window=-1"], "--window"),
+    (["partial", "--kmax", "0"], "--kmax"),
+    (["partial", "--angles", "3"], "--angles"),
+    (["partial", "--split", "0"], "--split"),
 ], ids=["nsteps-0", "nsteps-negative", "identity-count-0",
-        "wronskian-count-0"])
+        "wronskian-count-0", "lam-max-nan", "lam-max-inf", "lam-max-negative",
+        "tau-max-negative", "tau-max-0", "tau-max-nan", "tol-inf",
+        "samples-negative", "trunc-4", "trunc-negative", "trunc-31",
+        "window-negative", "kmax-0", "angles-3", "split-0"])
 def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     cfg = _cfg(tmp_path, ZERO_POT)
     rc = main(argv + ["--config", cfg, "--out", str(tmp_path / "x.csv")])

@@ -1,7 +1,10 @@
-"""Problem container, potential kinds, and the JSON config round trip."""
+"""Problem container, potential kinds, the JSON config round trip, and
+the CSV table writer."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,7 +24,11 @@ from reggespec import (
     problem_to_dict,
 )
 
+from reggespec.model import write_csv
+
 from conftest import closed_form_problem, grid_problem
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "reggespec"
 
 
 def _mk(a=1.0, alpha0=2.0, beta0=0.0, alpha=3.0, beta=0.0, q=None, **kw):
@@ -145,3 +152,40 @@ def test_reflected_potential():
     r = p.reflected()
     assert abs(r.potential(0.25) - 0.75) < 1e-12
     assert abs(p.potential(0.25) - 0.25) < 1e-12
+
+
+def test_write_csv_cell_rules(tmp_path):
+    path = tmp_path / "t.csv"
+    x = np.float64(0.1) + np.float64(0.2)
+    write_csv(str(path), "# note\nk,v,re,im,s",
+              [(None, 1.0 / 3.0, 2 + 0.5j, "plus"),
+               (np.int64(-7), x, np.complex128(0.1 - 2.5e-300j), "minus"),
+               "# count mismatch: 3 direct vs 2 averaged"])
+    assert path.read_text() == (
+        "# note\nk,v,re,im,s\n"
+        ",0.33333333333333331,2,0.5,plus\n"
+        "-7,0.30000000000000004,0.10000000000000001,-2.5e-300,minus\n"
+        "# count mismatch: 3 direct vs 2 averaged\n")
+    row = path.read_text().splitlines()[3].split(",")
+    assert float(row[1]) == x
+    assert complex(float(row[2]), float(row[3])) == 0.1 - 2.5e-300j
+    assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_table_format_lives_in_model():
+    """The CSV number format is written out only in model.write_csv; cli
+    keeps it in the helpers that format printed lines."""
+    paths = sorted(SRC.glob("*.py"))
+    assert "model.py" in [p.name for p in paths]
+    for path in paths:
+        if path.name == "model.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        allowed = set()
+        for node in ast.parse(text).body:
+            if path.name == "cli.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name in ("_g", "_cg"):
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for n, line in enumerate(text.splitlines(), start=1):
+            if ".17g" in line or '"\\n".join' in line:
+                assert n in allowed, f"{path.name}:{n}: {line.strip()}"
