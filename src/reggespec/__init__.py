@@ -12,6 +12,7 @@ from .asympt import (
     AsymptoticModel,
     appendix_P,
     asymptotic_model,
+    lattice_indices,
     mu_k,
     phi1_eval,
     phi1_zeros,

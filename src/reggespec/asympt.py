@@ -26,6 +26,7 @@ __all__ = [
     "AsymptoticModel",
     "asymptotic_model",
     "mu_k",
+    "lattice_indices",
     "predicted_lambda",
     "residual_tail",
     "write_residual_tail_csv",
@@ -117,16 +118,23 @@ def mu_k(m: AsymptoticModel, s: Sign, k: int) -> complex:
     """
     if m.case_sign == 0:
         raise DegenerateCase("no lattice in the degenerate case")
-    shift = 0.5j * m.P0(s) / m.a
-    if m.case_sign > 0:
-        if k == 0:
-            return 0.0 + 0.0j
-        return (math.pi / m.a) * (abs(k) - 0.5) * _sgn(k) + shift
-    if k == 0:
-        raise ValueError("k=0 is not an index in the case_sign<0 lattice")
-    if k == -1:
+    return _lattice_point(m.case_sign > 0, 0.5j * m.P0(s) / m.a, m.a, k)
+
+
+def lattice_indices(m: AsymptoticModel, lo: int, hi: int) -> list[int]:
+    """The lattice indices k with lo <= k <= hi, ascending; k = 0 is an
+    index only when case_sign > 0."""
+    return [k for k in range(lo, hi + 1) if k != 0 or m.case_sign > 0]
+
+
+def _lattice_point(half: bool, shift: complex, a: float, k: int) -> complex:
+    """k-th point of the shifted half-integer (half) or integer lattice
+    of spacing pi/a, numbered as mu_k's docstring says."""
+    if k == (0 if half else -1):
         return 0.0 + 0.0j
-    return (math.pi / m.a) * (abs(k) - 1.0) * _sgn(k) + shift
+    if k == 0:
+        raise ValueError("k=0 is not an index of the integer lattice")
+    return (math.pi / a) * (abs(k) - (0.5 if half else 1.0)) * _sgn(k) + shift
 
 
 def _sgn(k: int) -> int:
@@ -186,16 +194,7 @@ def phi1_zeros(sigma1: float, sigma2: float, a: float, k: int) -> complex:
         raise DegenerateSigma(
             f"sigma1={sigma1}, sigma2={sigma2}: sigma1 = +-sigma2")
     shift = 0.5j * math.log(abs(sigma2 + sigma1) / abs(sigma2 - sigma1)) / a
-    if d < 0:
-        if k == 0:
-            return 0.0 + 0.0j
-        return (math.pi / a) * (abs(k) - 0.5) * _sgn(k) + shift
-    if k == 0:
-        raise ValueError("k=0 is not an index when "
-                         "(sigma2-sigma1)(sigma2+sigma1) > 0")
-    if k == -1:
-        return 0.0 + 0.0j
-    return (math.pi / a) * (abs(k) - 1.0) * _sgn(k) + shift
+    return _lattice_point(d < 0, shift, a, k)
 
 
 def appendix_P(sigma1: float, sigma2: float, M: complex, N: complex) -> complex:

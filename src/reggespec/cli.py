@@ -48,6 +48,7 @@ from .roots import (
 )
 from .asympt import (
     asymptotic_model,
+    lattice_indices,
     mu_k,
     predicted_lambda,
     residual_tail,
@@ -284,16 +285,10 @@ def _lattice_overlay(p: ReggeProblem, model, sign: Sign,
                      rect: Rectangle) -> list:
     if model is None or model.case_sign == 0:
         return []
-    kspan = int(math.ceil(abs(rect.re_max) * p.a / math.pi)) + 2
-    out = []
-    for k in range(-kspan, kspan + 1):
-        if model.case_sign < 0 and k == 0:
-            continue
-        mu = mu_k(model, sign, k)
-        if (rect.re_min <= mu.real <= rect.re_max
-                and rect.im_min <= mu.imag <= rect.im_max):
-            out.append((mu.real, mu.imag))
-    return out
+    lo = int(math.floor(rect.re_min * p.a / math.pi)) - 2
+    hi = int(math.ceil(rect.re_max * p.a / math.pi)) + 2
+    mus = (mu_k(model, sign, k) for k in lattice_indices(model, lo, hi))
+    return [(mu.real, mu.imag) for mu in mus if rect.contains(mu)]
 
 
 # ---- spectrum ---------------------------------------------------------------
@@ -507,7 +502,7 @@ def _recon_hadamard(args) -> int:
     tol = _tol(args, 1e-4)
     model = hadamard_build(zs, args.selector, c0, N=args.trunc, tol=tol)
     xs = _parse_grid(args.grid)
-    vals = np.atleast_1d(model.eval(xs.astype(complex)))
+    vals = model.eval(xs.astype(complex))
     out = _need(args.out, "--out")
     write_csv(out, "x,re,im", zip(xs, vals))
     print(f"exponent b = {_cg(model.b)}")

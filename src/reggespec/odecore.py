@@ -489,13 +489,16 @@ def _cum_trapezoid_2d(F: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def kernel_K(p: ReggeProblem, mesh_n: int = 256, tol: float = 1e-12,
-             max_iter: int = 80) -> KernelGrid:
+_KERNEL_TOL = 1e-12
+_KERNEL_MAX_ITER = 80
+
+
+def kernel_K(p: ReggeProblem, mesh_n: int = 256) -> KernelGrid:
     """Solve the kernel integral equation by Picard iteration.
 
     mesh_n is the number of intervals per axis (>= 16).  Iteration stops
-    when the sup-norm update falls below tol; the Volterra structure
-    makes the iteration contract factorially fast.
+    when the sup-norm update falls below _KERNEL_TOL; the Volterra
+    structure makes the iteration contract factorially fast.
     """
     if mesh_n < 16:
         raise ValidationError("kernel mesh needs at least 16 intervals per axis")
@@ -513,16 +516,16 @@ def kernel_K(p: ReggeProblem, mesh_n: int = 256, tol: float = 1e-12,
 
     H = np.broadcast_to(half_q, (n + 1, n + 1)).copy()
     update = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _KERNEL_MAX_ITER + 1):
         H_new = half_q + _cum_trapezoid_2d(q_sum * H, h)
         update = float(np.max(np.abs((H_new - H)[mask])))
         H = H_new
-        if update <= tol:
+        if update <= _KERNEL_TOL:
             return KernelGrid(a=p.a, mesh=mesh, H=H, iterations=it,
                               last_update=update)
     raise NoConvergence(
-        f"kernel Picard iteration: update {update:.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations")
+        f"kernel Picard iteration: update {update:.3e} > tol "
+        f"{_KERNEL_TOL:.3e} after {_KERNEL_MAX_ITER} iterations")
 
 
 def _sin_over_lam(lam, t):

@@ -22,6 +22,7 @@ import numpy as np
 from .asympt import (
     AsymptoticModel,
     asymptotic_model,
+    lattice_indices,
     phi1_eval,
     predicted_lambda,
 )
@@ -230,8 +231,7 @@ def refine_subset(p: ReggeProblem, model: AsymptoticModel, sign: Sign,
     (non-convergence, zero eigenvalue, or collapse onto an already
     claimed zero).
     """
-    ks = [k for k in range(-kmax, kmax + 1)
-          if not (model.case_sign < 0 and k == 0)]
+    ks = lattice_indices(model, -kmax, kmax)
     seeds = np.array([predicted_lambda(model, sign, k) for k in ks])
     zs, _, conv = newton_refine(
         lambda z: delta(p, sign, z, nsteps=nsteps),
@@ -267,9 +267,7 @@ def sparse_subset(model: AsymptoticModel, sign: Sign, b_side: float,
     pairs = []
     notes = []
     taken: set = set()
-    for j in range(-len(full_pairs), len(full_pairs) + 1):
-        if model.case_sign < 0 and j == 0:
-            continue
+    for j in lattice_indices(model, -len(full_pairs), len(full_pairs)):
         target = a * model.mu(sign, j) / b_side
         if abs(target) > reach:
             continue
@@ -370,10 +368,13 @@ class CriticalDiagnostics:
         return bool(np.all(np.diff(mags) < 0))
 
 
+_TAIL_LIMIT = 0.25
+
+
 def critical_diagnostics(p1: ReggeProblem, p2: ReggeProblem,
                          b_plus: float, b_minus: float, subsets,
-                         t_schedule, nsteps: int | None = None,
-                         tail_limit: float = 0.25) -> CriticalDiagnostics:
+                         t_schedule,
+                         nsteps: int | None = None) -> CriticalDiagnostics:
     """Assemble the E0 = G/Phi decay diagnostics for the critical case.
 
     subsets is a pair (plus, minus) of sequences of (j, lambda) pairs;
@@ -381,7 +382,7 @@ def critical_diagnostics(p1: ReggeProblem, p2: ReggeProblem,
     (alpha0 - 1)(1 - alpha) != 0 (asymptotic_model raises
     DegenerateCase otherwise).  Raises TruncationDominates when the
     schedule outruns the subsets: the last included product factor
-    1 - i t / lambda^2 must stay within tail_limit of 1.
+    1 - i t / lambda^2 must stay within _TAIL_LIMIT (0.25) of 1.
     """
     a = _shared_length(p1, p2)
     b = 0.5 * (b_plus + b_minus)
@@ -403,9 +404,9 @@ def critical_diagnostics(p1: ReggeProblem, p2: ReggeProblem,
         raise InconsistentInput("t schedule must be positive increasing")
     reach = min(np.abs(lam_p).max(), np.abs(lam_m).max())
     worst = t.max() / reach ** 2
-    if worst > tail_limit:
+    if worst > _TAIL_LIMIT:
         raise TruncationDominates(
-            f"last product factor deviates by {worst:.3g} > {tail_limit:g}; "
+            f"last product factor deviates by {worst:.3g} > {_TAIL_LIMIT:g}; "
             "extend the subsets or shorten the t schedule")
 
     lam = np.sqrt(1j * t)

@@ -114,13 +114,13 @@ class ZeroSet:
         return self.order_at_origin + int(sum(m for _, m in self.zeros))
 
 
-def zeroset_from_spectrum(sp, origin_tol: float = 1e-8) -> ZeroSet:
-    """Spectrum entries -> ZeroSet; entries within origin_tol of 0 set
-    the origin order."""
+def zeroset_from_spectrum(sp) -> ZeroSet:
+    """Spectrum entries -> ZeroSet; entries within 1e-8 of 0 set the
+    origin order."""
     zeros = []
     s = 0
     for e in sp.entries:
-        if abs(e.lam) <= origin_tol:
+        if abs(e.lam) <= 1e-8:
             s += e.multiplicity
         else:
             zeros.append((e.lam, e.multiplicity))
@@ -187,13 +187,14 @@ class HadamardModel:
                 + _tail_log(z, self._rays))
 
     def eval(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.exp(np.log(self.c) + self.b * z + self.log_E(z))
+        """f(z): a complex for a scalar z, else an array of z's shape."""
+        zs = np.atleast_1d(np.asarray(z, dtype=complex))
+        out = np.exp(np.log(self.c) + self.b * zs + self.log_E(zs))
         if self.zeroset.order_at_origin > 0:
-            out[z == 0] = 0.0
-        elif np.any(z == 0):
-            out[z == 0] = self.c
-        return out if out.size > 1 else complex(out[0])
+            out[zs == 0] = 0.0
+        elif np.any(zs == 0):
+            out[zs == 0] = self.c
+        return complex(out[0]) if np.ndim(z) == 0 else out
 
     __call__ = eval
 
@@ -212,8 +213,12 @@ def _truncated(zs: ZeroSet, n: int):
     return vals[:idx + 1], wts[:idx + 1]
 
 
-def _log_E(z: np.ndarray, vals: np.ndarray, wts: np.ndarray, s: int,
-           block: int = 4096) -> np.ndarray:
+# zeros per block of the product sums: bounds the (points, zeros) arrays
+_BLOCK = 4096
+
+
+def _log_E(z: np.ndarray, vals: np.ndarray, wts: np.ndarray,
+           s: int) -> np.ndarray:
     """Sum of per-factor principal logs of the genus-1 product.
 
     Ordered block reduction: deterministic regardless of evaluation
@@ -227,9 +232,9 @@ def _log_E(z: np.ndarray, vals: np.ndarray, wts: np.ndarray, s: int,
         lz = s * np.log(np.where(zero, 1.0, zf))
         lz[zero] = complex(-math.inf, 0.0)
         out += lz
-    for i in range(0, len(vals), block):
-        vb = vals[i:i + block]
-        wb = wts[i:i + block]
+    for i in range(0, len(vals), _BLOCK):
+        vb = vals[i:i + _BLOCK]
+        wb = wts[i:i + _BLOCK]
         u = zf[:, None] / vb[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.log1p(-u) + u
@@ -250,17 +255,16 @@ class _TailRay:
         return self.side * (self.start + j * self.step) + 1j * self.imag
 
 
-def _tail_rays(vals: np.ndarray, edge: int = 48,
-               min_side: int = 16) -> tuple[_TailRay, ...]:
-    """Fit a lattice ray to the outer zeros on each side of the imaginary
-    axis.  A side with too few zeros or non-increasing spacing gets no
-    ray (its truncation error is then left to the sample fit)."""
+def _tail_rays(vals: np.ndarray) -> tuple[_TailRay, ...]:
+    """Fit a lattice ray to the outer 48 zeros on each side of the
+    imaginary axis.  A side with under 16 zeros or non-increasing
+    spacing gets no ray (its truncation error is left to the sample fit)."""
     rays = []
     for side in (1.0, -1.0):
         zs = vals[vals.real * side > 1e-12]
-        if len(zs) < min_side:
+        if len(zs) < 16:
             continue
-        zs = zs[np.argsort(zs.real * side)][-edge:]
+        zs = zs[np.argsort(zs.real * side)][-48:]
         steps = np.diff(zs.real * side)
         step = float(np.median(steps))
         if not step > 1e-9:
@@ -278,14 +282,13 @@ def _powsum(c0: complex, a: int, p: int) -> complex:
             - p * (p + 1) * (p + 2) * w ** (-p - 3) / 720.0)
 
 
-def _tail_log(z: np.ndarray, rays: tuple[_TailRay, ...],
-              pmax: int = 6, block: int = 4096) -> np.ndarray:
+def _tail_log(z: np.ndarray, rays: tuple[_TailRay, ...]) -> np.ndarray:
     """ln of the product over the continued-lattice zeros.
 
     Factors up to j0 (chosen so |z| / |zero| <= 1/50 beyond it) are
-    summed directly; the remainder uses the power-series expansion of
-    log1p with Euler-Maclaurin sums of (c0+j)^-p, so the O(1/j) decay
-    of the quadratic term never has to be summed term by term.
+    summed directly; the remainder uses the power series of log1p
+    through z^6 with Euler-Maclaurin sums of (c0+j)^-p, so the O(1/j)
+    decay of the quadratic term never has to be summed term by term.
     """
     zf = z.reshape(-1)
     out = np.zeros(zf.shape, dtype=complex)
@@ -293,12 +296,12 @@ def _tail_log(z: np.ndarray, rays: tuple[_TailRay, ...],
     for ray in rays:
         j0 = max(4096, int(math.ceil((50.0 * zmax - ray.start) / ray.step)))
         j0 = min(j0, 2_000_000)
-        for i in range(1, j0 + 1, block):
-            zeros = ray.zero(np.arange(i, min(i + block, j0 + 1), dtype=float))
+        for i in range(1, j0 + 1, _BLOCK):
+            zeros = ray.zero(np.arange(i, min(i + _BLOCK, j0 + 1), dtype=float))
             u = zf[:, None] / zeros[None, :]
             out += (np.log1p(-u) + u).sum(axis=1)
         c0 = (ray.start + 1j * ray.side * ray.imag) / ray.step
-        for p in range(2, pmax + 1):
+        for p in range(2, 7):
             s_p = _powsum(c0, j0 + 1, p) * (ray.side * ray.step) ** (-p)
             out -= zf ** p * (s_p / p)
     return out.reshape(z.shape)
@@ -445,19 +448,19 @@ class EvenMinusEvaluator:
                 "(two even potentials share these eigenvalues)")
         self.path = path
         self._cache: dict[complex, complex] = {}
-        self._prime(path.astype(complex))
-        self.values = self._track_real(v0)
+        self._prime(path)
+        # even in lam: the branch leaves 0 with zero slope
+        self.values = np.array(self._walk(path[0], v0, 0j, path[1:]))
 
     def radicand(self, lam):
         lam = np.asarray(lam, dtype=complex)
         return (np.asarray(self.dplus(lam)) * np.asarray(self.dplus(-lam))
                 - 4.0 * self.alpha ** 2 * lam * lam)
 
-    def _prime(self, points: np.ndarray) -> None:
-        """Batch the underlying evaluator over uncached points; the
-        tracking and query loops then read scalars from the cache."""
-        pts = [complex(t) for t in np.asarray(points).reshape(-1)]
-        new = sorted({t for t in pts if t not in self._cache},
+    def _prime(self, points) -> None:
+        """Batch the underlying evaluator over the uncached points; the
+        walks then read scalars from the cache."""
+        new = sorted({complex(t) for t in points} - self._cache.keys(),
                      key=lambda t: (t.real, t.imag))
         if not new:
             return
@@ -465,16 +468,10 @@ class EvenMinusEvaluator:
         for t, r in zip(new, vals):
             self._cache[t] = complex(r)
 
-    def _rad(self, t: complex) -> complex:
-        t = complex(t)
-        if t not in self._cache:
-            self._cache[t] = complex(np.atleast_1d(
-                self.radicand(np.array([t])))[0])
-        return self._cache[t]
-
     def _step(self, t0: complex, v0: complex, slope: complex, t1: complex,
               depth: int) -> complex:
-        c = cmath.sqrt(self._rad(t1))
+        self._prime([t1])
+        c = cmath.sqrt(self._cache[complex(t1)])
         pred = v0 + slope * (t1 - t0)
         v1 = c if abs(c - pred) <= abs(-c - pred) else -c
         # candidates closer to each other than the step jump: refine
@@ -488,74 +485,52 @@ class EvenMinusEvaluator:
             return self._step(tm, vm, sm, t1, depth + 1)
         return v1
 
-    def _track_real(self, v0: complex) -> np.ndarray:
-        out = np.empty(len(self.path), dtype=complex)
-        out[0] = v0
-        slope = 0.0 + 0.0j  # even function: zero derivative at 0
-        for j in range(1, len(self.path)):
-            t0, t1 = self.path[j - 1], self.path[j]
-            out[j] = self._step(t0, out[j - 1], slope, t1, 0)
-            slope = (out[j] - out[j - 1]) / (t1 - t0)
+    def _walk(self, t, v, slope, nodes) -> list:
+        """Branch values from (t, v) through each node in turn, [v, ...];
+        every step extrapolates with the slope of the one before."""
+        out = [v]
+        for t1 in nodes:
+            vn = self._step(t, v, slope, t1, 0)
+            if t1 != t:
+                slope = (vn - v) / (t1 - t)
+            v, t = vn, t1
+            out.append(v)
         return out
 
-    def _at_real(self, x: float) -> complex:
+    def _nodes(self, lam: complex):
+        """(anchor index j, x, real nodes, vertical nodes) carrying the
+        branch from path[j - 1] along the real axis to x = |Re lam|, then
+        vertically to lam (reflected into Re >= 0: even in lam)."""
+        if lam.real < 0:
+            lam = -lam
+        x, y = lam.real, lam.imag
         if x > self.path[-1] + 1e-12:
             raise InconsistentInput(
                 f"|Re lam| = {x:.6g} beyond the tracked path end "
                 f"{self.path[-1]:.6g}")
         j = int(np.searchsorted(self.path, x))
         j = min(max(j, 1), len(self.path) - 1)
-        t0 = self.path[j - 1]
-        v0 = self.values[j - 1]
+        real = np.linspace(self.path[j - 1], x, 5)[1:]
+        if y == 0.0:
+            return j, x, real, ()
+        h = max(self.path[1] - self.path[0], 1e-3)
+        nsub = max(4, int(math.ceil(abs(y) / h)))
+        return j, x, real, x + 1j * np.linspace(0.0, y, nsub + 1)[1:]
+
+    def _value(self, j: int, x: float, real, vertical) -> complex:
+        t0, v0 = self.path[j - 1], self.values[j - 1]
         if j >= 2:
             slope = (v0 - self.values[j - 2]) / (t0 - self.path[j - 2])
         else:
             slope = 0.0 + 0.0j
-        # sub-steps from the anchor to x
-        v, t = v0, t0
-        for tt in np.linspace(t0, x, 5)[1:]:
-            vn = self._step(t, v, slope, tt, 0)
-            if tt != t:
-                slope = (vn - v) / (tt - t)
-            v, t = vn, tt
-        return v
-
-    def _vertical_nodes(self, x: float, y: float) -> np.ndarray:
-        h = max(self.path[1] - self.path[0], 1e-3)
-        nsub = max(4, int(math.ceil(abs(y) / h)))
-        return x + 1j * np.linspace(0.0, y, nsub + 1)[1:]
-
-    def _value(self, lam: complex) -> complex:
-        lam = complex(lam)
-        if lam.real < 0:
-            lam = -lam  # even in lam
-        x, y = lam.real, lam.imag
-        v = self._at_real(x)
-        if y == 0.0:
-            return v
-        slope = 0.0 + 0.0j
-        t = complex(x)
-        for t1 in self._vertical_nodes(x, y):
-            vn = self._step(t, v, slope, t1, 0)
-            slope = (vn - v) / (t1 - t)
-            v, t = vn, t1
-        return v
+        v = self._walk(t0, v0, slope, real)[-1]
+        return self._walk(complex(x), v, 0.0 + 0.0j, vertical)[-1]
 
     def __call__(self, lam):
         arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-        flat = arr.reshape(-1)
-        # pre-batch every node the scalar loops will ask for
-        need: list[complex] = []
-        for z in flat:
-            z = z if z.real >= 0 else -z
-            x, y = z.real, z.imag
-            j = int(np.searchsorted(self.path, x))
-            j = min(max(j, 1), len(self.path) - 1)
-            need.extend(np.linspace(self.path[j - 1], x, 5)[1:])
-            if y != 0.0:
-                need.extend(self._vertical_nodes(x, y))
-        self._prime(np.array(need, dtype=complex))
-        out = np.array([self._value(z) for z in flat],
+        plans = [self._nodes(complex(z)) for z in arr.reshape(-1)]
+        self._prime([t for _, _, real, vert in plans for t in (*real, *vert)])
+        out = np.array([self._value(*plan) for plan in plans],
                        dtype=complex).reshape(arr.shape)
         if np.ndim(lam) == 0:
             return complex(out.reshape(())[()])
@@ -571,12 +546,13 @@ def even_delta_minus(dplus, alpha: float, path) -> EvenMinusEvaluator:
 
 # ---- pairwise combinations --------------------------------------------------
 
-def delta0_from_pair(dplus, dminus, alpha: float, lam, h: float = 1e-5):
+def delta0_from_pair(dplus, dminus, alpha: float, lam):
     """Interior value function from the pair: (D+ - D-)/(2 i alpha lam).
 
     At lam = 0 the quotient is resolved by a central difference of the
-    numerator (which vanishes at 0 by construction).
+    numerator (which vanishes at 0 by construction), of step h = 1e-5.
     """
+    h = 1e-5
     arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     out = np.empty(arr.shape, dtype=complex)
     big = np.abs(arr) >= 1e-8

@@ -27,6 +27,7 @@ from .errors import (
     Overflow,
     SignViolation,
 )
+from .asympt import lattice_indices
 from .model import ReggeProblem, Sign, write_csv
 from .reconstruct import two_spectra_robin
 
@@ -48,6 +49,17 @@ __all__ = [
     "pair_zeros",
     "write_spectrum_csv",
 ]
+
+_PER_EDGE = 16          # initial boundary samples per edge, at least
+_MAX_ROUNDS = 16        # boundary refinement rounds before BoundaryZero
+_FLOOR_REL = 1e-13      # |f| below this share of the boundary scale: a zero
+_PERTURB = 1e-3         # rectangle growth per retry, in units of its extent
+_PERTURB_TRIES = 5      # retries before a boundary zero is reported
+_MIN_CELL_REL = 1e-6    # smallest cell, relative to max(1, diameter)
+_NEWTON_MAX_ITER = 50
+_AXIS_SCAN = 2000       # scan points for imaginary_axis_zeros
+_AXIS_ROOT_TOL = 1e-9   # |Delta_+| a bracketed axis root must reach
+_INTERLACE_SCAN = 400   # scan points between consecutive tau_j
 
 
 @dataclass(frozen=True)
@@ -113,11 +125,6 @@ class Spectrum:
 
 # ---- winding numbers ------------------------------------------------------
 
-def _boundary_params(rect: Rectangle, per_edge: int) -> np.ndarray:
-    # parameter t in [0, 4), one unit per edge, counterclockwise
-    return np.concatenate([e + np.arange(per_edge) / per_edge for e in range(4)])
-
-
 def _param_to_point(rect: Rectangle, t: np.ndarray) -> np.ndarray:
     t = np.mod(t, 4.0)
     w = rect.re_max - rect.re_min
@@ -157,16 +164,7 @@ def _require_finite(*values, where: str):
                 f"integration mesh cannot represent this lambda range")
 
 
-def _initial_per_edge(rect: Rectangle, per_edge, samples_per_unit: float) -> int:
-    edge = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
-    auto = int(np.ceil(edge * samples_per_unit))
-    base = 16 if per_edge is None else int(per_edge)
-    return max(8, base, auto)
-
-
-def _winding_multi(f, rects: list[Rectangle], per_edge=None,
-                   samples_per_unit: float = 1.0, max_rounds: int = 16,
-                   floor_rel: float = 1e-13):
+def _winding_multi(f, rects: list[Rectangle], samples_per_unit: float = 1.0):
     """Winding numbers for several rectangles with shared f batches.
 
     One call to f per refinement round evaluates the pending boundary
@@ -175,12 +173,13 @@ def _winding_multi(f, rects: list[Rectangle], per_edge=None,
     """
     state = []
     for r in rects:
-        ts = _boundary_params(r, _initial_per_edge(r, per_edge, samples_per_unit))
+        # parameter t in [0, 4), one unit per edge, counterclockwise
+        edge = max(r.re_max - r.re_min, r.im_max - r.im_min)
+        n = max(_PER_EDGE, int(np.ceil(edge * samples_per_unit)))
+        ts = np.concatenate([e + np.arange(n) / n for e in range(4)])
         state.append({"rect": r, "ts": ts, "fs": None, "done": None,
                       "new_ts": ts})
-    for _ in range(max_rounds + 1):
-        chunks = [st["new_ts"] for st in state
-                  if st["done"] is None and len(st["new_ts"])]
+    for _ in range(_MAX_ROUNDS + 1):
         zs = [(_param_to_point(st["rect"], st["new_ts"]))
               for st in state if st["done"] is None and len(st["new_ts"])]
         if zs:
@@ -208,9 +207,9 @@ def _winding_multi(f, rects: list[Rectangle], per_edge=None,
                 continue
             fs = st["fs"]
             scale = np.max(np.abs(fs))
-            if scale == 0.0 or np.any(np.abs(fs) < floor_rel * scale):
+            if scale == 0.0 or np.any(np.abs(fs) < _FLOOR_REL * scale):
                 st["done"] = _BoundaryZeroMark(
-                    f"boundary magnitude below {floor_rel:g} of scale")
+                    f"boundary magnitude below {_FLOOR_REL:g} of scale")
                 continue
             dphi = np.angle(np.roll(fs, -1) / fs)
             bad = np.abs(dphi) >= 0.5 * np.pi
@@ -239,9 +238,7 @@ def _winding_multi(f, rects: list[Rectangle], per_edge=None,
     return out
 
 
-def winding_count(f, rect: Rectangle, per_edge: int | None = None,
-                  samples_per_unit: float = 1.0, max_rounds: int = 16,
-                  floor_rel: float = 1e-13) -> int:
+def winding_count(f, rect: Rectangle) -> int:
     """Number of zeros of f inside rect, counted with multiplicity.
 
     Boundary samples are refined until consecutive phase increments stay
@@ -249,16 +246,13 @@ def winding_count(f, rect: Rectangle, per_edge: int | None = None,
     relative to the boundary scale (a zero on or next to the contour)
     or when refinement stalls the same way.
     """
-    res = _winding_multi(f, [rect], per_edge=per_edge,
-                         samples_per_unit=samples_per_unit,
-                         max_rounds=max_rounds, floor_rel=floor_rel)[0]
+    res = _winding_multi(f, [rect])[0]
     if isinstance(res, _BoundaryZeroMark):
         raise BoundaryZero(str(res))
     return res
 
 
-def _windings_with_retry(f, rects: list[Rectangle], perturb: float = 1e-3,
-                         tries: int = 5, **kw):
+def _windings_with_retry(f, rects: list[Rectangle], samples_per_unit: float):
     """Batched winding counts, expanding rectangles that hit BoundaryZero.
 
     Returns [(possibly expanded rect, count), ...] in input order.
@@ -268,14 +262,14 @@ def _windings_with_retry(f, rects: list[Rectangle], perturb: float = 1e-3,
     out: list = [None] * len(rects)
     pending = list(range(len(rects)))
     while pending:
-        res = _winding_multi(f, [current[i] for i in pending], **kw)
+        res = _winding_multi(f, [current[i] for i in pending], samples_per_unit)
         nxt = []
         for i, r in zip(pending, res):
             if isinstance(r, _BoundaryZeroMark):
-                if attempts[i] >= tries:
+                if attempts[i] >= _PERTURB_TRIES:
                     raise BoundaryZero(str(r))
                 attempts[i] += 1
-                current[i] = current[i].expanded(perturb * attempts[i])
+                current[i] = current[i].expanded(_PERTURB * attempts[i])
                 nxt.append(i)
             else:
                 out[i] = (current[i], r)
@@ -285,8 +279,7 @@ def _windings_with_retry(f, rects: list[Rectangle], perturb: float = 1e-3,
 
 # ---- Newton refinement ----------------------------------------------------
 
-def newton_refine(f, fprime, z0, mult=1, tol: float = 1e-12,
-                  max_iter: int = 50):
+def newton_refine(f, fprime, z0, mult=1, tol: float = 1e-12):
     """Multiplicity-aware Newton: z -> z - mult * f/f'.
 
     Vectorised over an array of starting points; mult may be a scalar or
@@ -305,7 +298,7 @@ def newton_refine(f, fprime, z0, mult=1, tol: float = 1e-12,
     done = np.zeros(z.shape, dtype=bool)
     stag = np.zeros(z.shape, dtype=bool)
     fz = None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         active = ~(done | stag)
         if not np.any(active):
             break
@@ -335,24 +328,20 @@ def newton_refine(f, fprime, z0, mult=1, tol: float = 1e-12,
 # ---- zero search ----------------------------------------------------------
 
 def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
-               multiplicity_cap: int = 4, min_cell: float | None = None,
-               perturb: float = 1e-3, perturb_tries: int = 5,
-               newton_max: int = 50, samples_per_unit: float = 1.0):
+               multiplicity_cap: int = 4, samples_per_unit: float = 1.0):
     """All zeros of f in rect as a list of (location, multiplicity, residual).
 
     Quadrisection by winding count, processed breadth-first so every
     generation of sub-rectangles shares f batches; isolating cells then
     seed one vectorised Newton run.  Cells that stop separating below
-    min_cell are treated as genuine multiple zeros up to multiplicity_cap.
-    Zeros recovered twice through overlapping perturbed cells merge when
-    closer than 10 * min_cell (multiplicity by max, not sum).
+    the minimum cell size, _MIN_CELL_REL * max(1, diameter of rect), are
+    treated as genuine multiple zeros up to multiplicity_cap.  Zeros
+    recovered twice through overlapping perturbed cells merge when
+    closer than 10 minimum cells (multiplicity by max, not sum).
     """
-    if min_cell is None:
-        min_cell = 1e-6 * max(1.0, rect.diameter)
-    wind_kw = dict(perturb=perturb, tries=perturb_tries,
-                   samples_per_unit=samples_per_unit)
+    min_cell = _MIN_CELL_REL * max(1.0, rect.diameter)
 
-    pending = _windings_with_retry(f, [rect], **wind_kw)
+    pending = _windings_with_retry(f, [rect], samples_per_unit)
     isolating: list[tuple[Rectangle, int]] = []
     while pending:
         to_split: list[Rectangle] = []
@@ -367,22 +356,23 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
                 isolating.append((cell, count))
             else:
                 to_split.extend(cell.quadrisect())
-        pending = _windings_with_retry(f, to_split, **wind_kw) if to_split else []
+        pending = (_windings_with_retry(f, to_split, samples_per_unit)
+                   if to_split else [])
 
     found: list[tuple[complex, int, float]] = []
     while isolating:
         cells = [c for c, _ in isolating]
         counts = np.array([m for _, m in isolating])
         z0 = np.array([c.center for c in cells], dtype=complex)
-        z, res, ok = newton_refine(f, fprime, z0, mult=counts, tol=tol,
-                                   max_iter=newton_max)
+        z, res, ok = newton_refine(f, fprime, z0, mult=counts, tol=tol)
         retry: list[tuple[Rectangle, int]] = []
         for i, (cell, m) in enumerate(isolating):
             margin = 0.05 * cell.diameter + 10 * min_cell
             if ok[i] and cell.contains(complex(z[i]), margin=margin):
                 found.append((complex(z[i]), int(m), float(res[i])))
             elif cell.diameter > min_cell:
-                subs = _windings_with_retry(f, cell.quadrisect(), **wind_kw)
+                subs = _windings_with_retry(f, cell.quadrisect(),
+                                            samples_per_unit)
                 retry.extend((c, n) for c, n in subs if n > 0)
             else:
                 raise NewtonDivergence(
@@ -484,7 +474,7 @@ def index_eigenvalues(spec: Spectrum, model, sign: Sign) -> Spectrum:
     a = model.a
     lo = int(np.floor(lams.real.min() * a / np.pi)) - 3
     hi = int(np.ceil(lams.real.max() * a / np.pi)) + 3
-    ks = [k for k in range(lo, hi + 1) if _k_valid(model.case_sign, k)]
+    ks = lattice_indices(model, lo, hi)
     mus = np.array([model.mu(sign, k) for k in ks])
     cost = np.abs(lams[:, None] - mus[None, :])
     row, col = linear_sum_assignment(cost)
@@ -493,16 +483,10 @@ def index_eigenvalues(spec: Spectrum, model, sign: Sign) -> Spectrum:
     return spec
 
 
-def _k_valid(case_sign: int, k: int) -> bool:
-    if case_sign > 0:
-        return True
-    return k != 0
-
-
 # ---- imaginary axis -------------------------------------------------------
 
-def imaginary_axis_zeros(p: ReggeProblem, tau_max: float, n_scan: int = 2000,
-                         tol: float = 1e-12, nsteps: int | None = None) -> list[float]:
+def imaginary_axis_zeros(p: ReggeProblem, tau_max: float,
+                         nsteps: int | None = None) -> list[float]:
     """tau > 0 with Delta_+(-i tau) = 0, by dense scan plus bisection.
 
     Requires real_data: then Delta_+ is real on the negative imaginary
@@ -511,7 +495,7 @@ def imaginary_axis_zeros(p: ReggeProblem, tau_max: float, n_scan: int = 2000,
     """
     if not p.real_data:
         raise InconsistentInput("imaginary axis scan requires real_data")
-    taus = np.linspace(tau_max / n_scan, tau_max, n_scan)
+    taus = np.linspace(tau_max / _AXIS_SCAN, tau_max, _AXIS_SCAN)
     vals = delta(p, Sign.PLUS, -1j * taus, nsteps=nsteps)
     g = vals.real
     if np.max(np.abs(vals.imag)) > 1e-8 * (1.0 + np.max(np.abs(g))):
@@ -520,7 +504,7 @@ def imaginary_axis_zeros(p: ReggeProblem, tau_max: float, n_scan: int = 2000,
     gfun = lambda t: delta(p, Sign.PLUS, -1j * t, nsteps=nsteps).real
     for i in np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]:
         r = brentq(gfun, taus[i], taus[i + 1], xtol=1e-14)
-        if abs(delta(p, Sign.PLUS, -1j * r, nsteps=nsteps)) <= max(tol, 1e-9):
+        if abs(delta(p, Sign.PLUS, -1j * r, nsteps=nsteps)) <= _AXIS_ROOT_TOL:
             roots.append(float(r))
     return roots
 
@@ -536,7 +520,7 @@ class InterlaceReport:
 
 
 def interlace_and_signs(p: ReggeProblem, taus, strict: bool = False,
-                        n_scan: int = 400, nsteps: int | None = None) -> InterlaceReport:
+                        nsteps: int | None = None) -> InterlaceReport:
     """Check the real-data sign and interlacing predictions on i R_-.
 
     At the ordered zeros tau_1 < ... < tau_kappa of Delta_+(-i tau):
@@ -561,7 +545,7 @@ def interlace_and_signs(p: ReggeProblem, taus, strict: bool = False,
             rep.violations.append(f"sign: Delta_0 parity at tau_{j} = {szero:.3e}")
     for j in range(kappa - 1):
         lo, hi = taus[j], taus[j + 1]
-        grid = np.linspace(lo, hi, n_scan + 2)[1:-1]
+        grid = np.linspace(lo, hi, _INTERLACE_SCAN + 2)[1:-1]
         vals = delta_zero(p, -1j * grid, nsteps=nsteps).real
         count = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
         rep.interior_zero_counts.append(count)

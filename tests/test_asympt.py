@@ -11,6 +11,7 @@ from reggespec import Potential, ReggeProblem
 from reggespec.asympt import (
     appendix_P,
     asymptotic_model,
+    lattice_indices,
     mu_k,
     phi1_eval,
     phi1_zeros,
@@ -223,3 +224,18 @@ def test_residual_tail_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["k"] for r in rows] == ["5", "6", "7"]
     assert float(rows[0]["re"]) == pytest.approx(0.01 / 5, abs=1e-12)
+
+
+def test_lattice_indices_by_case_sign():
+    negative = asymptotic_model(worked_problem())
+    assert negative.case_sign == -1
+    assert lattice_indices(negative, -2, 2) == [-2, -1, 1, 2]
+    positive = asymptotic_model(ReggeProblem(
+        a=1.0, alpha0=2.0, beta0=0.0, alpha=0.5, beta=0.0,
+        potential=Potential.zero(1.0), real_data=True))
+    assert positive.case_sign == 1
+    assert lattice_indices(positive, -2, 2) == [-2, -1, 0, 1, 2]
+    # every index it lists has a lattice point
+    for m in (negative, positive):
+        for k in lattice_indices(m, -3, 3):
+            mu_k(m, Sign.PLUS, k)

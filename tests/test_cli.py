@@ -107,6 +107,19 @@ def test_spectrum_svg(tmp_path):
     assert "circle" in svg.read_text()
 
 
+def test_spectrum_overlay_covers_asymmetric_rect(tmp_path):
+    """Every lattice point inside the rect gets a cross, on both sides of
+    the origin: on [-20, 5] the worked problem's plus lattice has 9 (the
+    origin, i ln(6)/2, and j pi + i ln(6)/2 for j = -6..-1 and 1)."""
+    cfg = _cfg(tmp_path, WORKED)
+    svg = tmp_path / "asym.svg"
+    rc = main(["spectrum", "--config", cfg, "--rect=-20,5,-1.5,1.5",
+               "--out", str(tmp_path / "asym.csv"), "--svg", str(svg),
+               "--overlay"])
+    assert rc == 0
+    assert svg.read_text().count("<path ") == 9
+
+
 def test_spectrum_interior_sign(tmp_path):
     cfg = _cfg(tmp_path, ZERO_POT)
     out = tmp_path / "interior.csv"

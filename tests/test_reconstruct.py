@@ -240,3 +240,14 @@ def test_sign_disambiguate():
         sign_disambiguate([1.0j], [5])
     with pytest.raises(InconsistentInput):
         sign_disambiguate([1.0 - 1.0j], [1])
+
+
+def test_hadamard_eval_keeps_array_shape():
+    """A one-point array gives a one-point array, as every other
+    evaluator does; a scalar still gives a complex."""
+    model = hadamard_build(_cos_zeroset(1000), "c1", 1.0)
+    one = model.eval(np.array([0.7]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert abs(one[0] - 0.7 * math.cos(0.7)) < 1e-5
+    assert model.eval(np.array([0.0])).shape == (1,)
+    assert isinstance(model.eval(0.7), complex)
