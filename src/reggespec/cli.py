@@ -31,8 +31,8 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .model import (ReggeProblem, Sign, atomic_write_text, load_problem,
-                    write_csv)
+from .model import (ReggeProblem, Sign, _csv_numbers, atomic_write_text,
+                    load_problem, write_csv)
 from .charfn import delta, energy_terms, identity_terms, wronskian_delta
 from .roots import (
     Rectangle,
@@ -186,6 +186,15 @@ def _auto_rect(p: ReggeProblem, model, sign: Sign | None, kmax) -> Rectangle:
                      max(0.0, shift) + pad)
 
 
+def _region(args, p: ReggeProblem, model, sign: Sign | None,
+            default_kmax=None) -> Rectangle:
+    """--rect when given, else _auto_rect for --kmax (or default_kmax)."""
+    if args.rect is not None:
+        return _parse_rect(args.rect)
+    kmax = args.kmax if args.kmax is not None else default_kmax
+    return _auto_rect(p, model, sign, kmax)
+
+
 # ---- SVG scatter ------------------------------------------------------------
 
 def _nice_step(span: float) -> float:
@@ -299,8 +308,7 @@ def cmd_spectrum(args) -> int:
     model = asymptotic_model(p, strict=False)
     interior = args.sign == "interior"
     sign = None if interior else _sign_of(args.sign)
-    rect = (_parse_rect(args.rect) if args.rect is not None
-            else _auto_rect(p, model, sign, args.kmax))
+    rect = _region(args, p, model, sign)
     spec = compute_spectrum(p, sign, rect, tol=tol, nsteps=args.nsteps)
     lattice = None if interior or model.case_sign == 0 else model
     spec = index_eigenvalues(spec, lattice, sign)
@@ -413,8 +421,7 @@ def cmd_verify(args) -> int:
         tol = _tol(args, 1e-8)
         model = asymptotic_model(p, strict=False)
         sign = _sign_of(args.sign)
-        rect = (_parse_rect(args.rect) if args.rect is not None
-                else _auto_rect(p, model, sign, args.kmax))
+        rect = _region(args, p, model, sign)
         spec = compute_spectrum(p, sign, rect, nsteps=args.nsteps)
         ok, defect = pair_symmetry_check(spec, tol)
         if args.out is not None:
@@ -450,9 +457,7 @@ def cmd_asympt(args) -> int:
     p = _load(args)
     model = asymptotic_model(p)
     sign = _sign_of(args.sign)
-    kmax = args.kmax if args.kmax is not None else 40
-    rect = (_parse_rect(args.rect) if args.rect is not None
-            else _auto_rect(p, model, sign, kmax))
+    rect = _region(args, p, model, sign, default_kmax=40)
     spec = compute_spectrum(p, sign, rect, nsteps=args.nsteps)
     spec = index_eigenvalues(spec, model, sign)
     tail = residual_tail(spec, model, sign, min_abs_k=args.min_k)
@@ -710,10 +715,10 @@ def _read_points_csv(path: str) -> list:
     pts = []
     for ln in lines[1:]:
         cols = ln.split(",")
-        try:
-            pts.append((float(cols[i_re]), float(cols[i_im])))
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"{path}: bad row {ln!r}") from exc
+        if len(cols) <= max(i_re, i_im):
+            raise ValidationError(f"{path}: bad row {ln!r}")
+        pts.append(tuple(_csv_numbers(path, ln, (cols[i_re], cols[i_im]),
+                                      (float, float))))
     return pts
 
 
@@ -727,8 +732,7 @@ def cmd_plot(args) -> int:
         pts = _read_points_csv(args.infile)
         title = args.title if args.title is not None else args.infile
     elif args.config is not None:
-        rect = (_parse_rect(args.rect) if args.rect is not None
-                else _auto_rect(p, model, sign, args.kmax))
+        rect = _region(args, p, model, sign)
         spec = compute_spectrum(p, sign, rect, nsteps=args.nsteps)
         pts = [(e.lam.real, e.lam.imag) for e in spec.entries]
         title = (args.title if args.title is not None

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import (
+    InconsistentInput,
     InconsistentRealFlag,
     NegativeAlpha0,
     NonPositiveAlpha,
@@ -369,6 +370,21 @@ def write_csv(path: str, header: str, rows) -> None:
     for row in rows:
         lines.append(row if isinstance(row, str) else ",".join(map(_cell, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _csv_numbers(path: str, row: str, cells, kinds) -> list:
+    """The given cells of one CSV row, each parsed by its kind (float or int).
+
+    A cell that is not a number, or not finite, raises InconsistentInput
+    naming the file and the row; both CSV readers parse through here.
+    """
+    try:
+        values = [kind(cell) for cell, kind in zip(cells, kinds)]
+    except ValueError as exc:
+        raise InconsistentInput(f"{path}: bad number in row {row!r}") from exc
+    if not all(map(cmath.isfinite, values)):
+        raise InconsistentInput(f"{path}: non-finite number in row {row!r}")
+    return values
 
 
 def dump_problem(p: ReggeProblem, path: str) -> None:

@@ -21,7 +21,11 @@ it leaves [1e-8, 1e8], and its log is added to a per-lambda scale
 exponent sigma.  Blocks hold about _BLOCK_ELEMENTS steps x lambda
 values, so memory stays flat as the batch grows.  solve_y_trajectory
 forms the running products of the same step matrices by a prefix scan,
-block by block.
+block by block, from y's initial rows on the same mesh.
+
+_solve is the one march entry: solve_sc, solve_y, solve_phi and
+solve_y_lambda_derivative only state their initial rows; _solve checks
+x, batches lambda, lays the mesh (_mesh) and marches.
 """
 
 from __future__ import annotations
@@ -82,17 +86,18 @@ class DerivState(ScaledState):
 
 def _as_batch(lam):
     arr = np.asarray(lam, dtype=complex)
-    return arr.reshape(-1), arr.shape, np.isscalar(lam) or arr.shape == ()
+    return arr.reshape(-1), arr.shape
 
 
-def _unbatch(x, shape, scalar):
-    return x.reshape(shape) if not scalar else x.reshape(()).item()
-
-
-def _q_halfstep_nodes(q: Potential, x0: float, x1: float, nsteps: int):
-    """q sampled at every half step of the uniform mesh on [x0, x1]."""
-    xs = np.linspace(x0, x1, 2 * nsteps + 1)
-    return q(xs)
+def _mesh(p: ReggeProblem, span: float, nsteps, reflect: bool = False):
+    """q (or q(a - .) with reflect) at every half step of the mesh on
+    [0, span], and the step.  nsteps steps (default DEFAULT_STEPS) cover
+    [0, a]; a shorter span gets its share of them, at least 8."""
+    m = DEFAULT_STEPS if nsteps is None else int(nsteps)
+    if span < p.a:
+        m = max(8, int(np.ceil(m * span / p.a)))
+    q = p.potential.reflect() if reflect else p.potential
+    return q(np.linspace(0.0, span, 2 * m + 1)), span / m
 
 
 # ---- step matrices and their products ---------------------------------------
@@ -250,14 +255,15 @@ def _tree(mats):
     return [(mats, sigma, plain)] + aside[::-1]
 
 
-def _march(qv, h, lam, U, dU, V=None, dV=None):
+def _march(qv, h, lam, state):
     """Carry the state across the mesh of qv by products of step matrices.
 
-    U, dU have shape (m, n) for m solutions and n lambda values; V, dV,
-    when given, are their lambda-derivatives.  Returns the scaled state
-    (U, dU, V, dV) and sigma, shape (n,): true values = state * e^sigma.
+    state is [U, dU] or [U, dU, V, dV], each of shape (m, n) for m
+    solutions and n lambda values; V, dV are the lambda-derivatives.
+    Returns the scaled state and sigma, shape (n,): true values = state *
+    e^sigma.
     """
-    deriv = V is not None
+    deriv = len(state) == 4
     steps = _Steps(qv, h, lam, deriv)
     sigma = np.zeros(lam.size)
     block = max(1, _BLOCK_ELEMENTS // lam.size)
@@ -265,29 +271,53 @@ def _march(qv, h, lam, U, dU, V=None, dV=None):
         mats = steps.matrices(j0, min(j0 + block, steps.n))
         for node, node_sigma, plain in _tree(mats):
             m00, m01, m10, m11 = (m[0] for m in node[:4])
-            state = [m00 * U + m01 * dU, m10 * U + m11 * dU]
-            if deriv:
-                d00, d01, d10, d11 = (m[0] for m in node[4:])
-                state += [d00 * U + d01 * dU + m00 * V + m01 * dV,
-                          d10 * U + d11 * dU + m10 * V + m11 * dV]
-            if not plain:                 # (I + E) x = x + E x
-                for new, old in zip(state, (U, dU, V, dV)):
-                    new += old
             U, dU = state[:2]
+            new = [m00 * U + m01 * dU, m10 * U + m11 * dU]
             if deriv:
                 V, dV = state[2:]
+                d00, d01, d10, d11 = (m[0] for m in node[4:])
+                new += [d00 * U + d01 * dU + m00 * V + m01 * dV,
+                        d10 * U + d11 * dU + m10 * V + m11 * dV]
+            if not plain:                 # (I + E) x = x + E x
+                for arr, old in zip(new, state):
+                    arr += old
+            state = new
             if node_sigma is not None:
                 sigma += node_sigma[0]
-            rows = list(U) + list(dU) + (list(V) + list(dV) if deriv else [])
-            sigma = _rescale(rows, sigma)
-    return U, dU, V, dV, sigma
+            sigma = _rescale([row for part in state for row in part], sigma)
+    return state, sigma
 
 
-def _steps_for(p: ReggeProblem, x: float, nsteps) -> int:
-    n = DEFAULT_STEPS if nsteps is None else int(nsteps)
-    if x >= p.a:
-        return n
-    return max(8, int(np.ceil(n * x / p.a)))
+def _solve(p: ReggeProblem, lam, x, rows, nsteps, reflect=False):
+    """The one march entry: each solver is an initial state marched to x.
+
+    rows(z) gives, for the flattened lam values z, one tuple (u, du) or
+    (u, du, v, dv) per solution at 0, scalars or arrays of z's shape.
+    With reflect the march runs on q(a - .) across [0, a - x], from a
+    down to x.  Returns the solutions' tuples in lam's shape, and sigma.
+    """
+    x = p.a if x is None else float(x)
+    lo, hi = (-1e-12, p.a) if reflect else (0.0, p.a + 1e-12)
+    if not (lo <= x <= hi):
+        raise OutOfDomain(f"x = {x} outside [0, {p.a}]")
+    lam_b, shape = _as_batch(lam)
+    init = rows(lam_b)
+    state = np.empty((len(init[0]), len(init), lam_b.size), dtype=complex)
+    for i, sol in enumerate(init):
+        for c, v in enumerate(sol):
+            state[c, i] = v
+    sigma = np.zeros(lam_b.size)
+    span = p.a - x if reflect else x
+    if span > 0.0:
+        qv, h = _mesh(p, span, nsteps, reflect)
+        state, sigma = _march(qv, h, lam_b, list(state))
+    return ([tuple(v.reshape(shape) for v in sol) for sol in zip(*state)],
+            sigma.reshape(shape))
+
+
+def _y_row(p: ReggeProblem, lam):
+    """y(0) = 1, y'(0) = beta0 + i alpha0 lam."""
+    return (1.0, complex(p.beta0) + 1j * p.alpha0 * lam)
 
 
 def solve_sc(p: ReggeProblem, lam, x: float | None = None, nsteps: int | None = None):
@@ -296,25 +326,11 @@ def solve_sc(p: ReggeProblem, lam, x: float | None = None, nsteps: int | None = 
     Returns (s, s', c, c'), descaled.  lam may be a scalar or an array;
     the outputs follow its shape.
     """
-    x = p.a if x is None else float(x)
-    if not (0.0 <= x <= p.a + 1e-12):
-        raise OutOfDomain(f"x = {x} outside [0, {p.a}]")
-    lam_b, shape, scalar = _as_batch(lam)
-    n = lam_b.size
-    U = np.zeros((2, n), dtype=complex)
-    dU = np.zeros((2, n), dtype=complex)
-    U[1] = 1.0
-    dU[0] = 1.0
-    dU[1] = complex(p.beta0)
-    if x > 0.0:
-        m = _steps_for(p, x, nsteps)
-        qv = _q_halfstep_nodes(p.potential, 0.0, x, m)
-        U, dU, _, _, sigma = _march(qv, x / m, lam_b, U, dU)
-        scale = np.exp(sigma)
-        U = U * scale
-        dU = dU * scale
-    out = [U[0], dU[0], U[1], dU[1]]
-    return tuple(_unbatch(np.asarray(o, dtype=complex), shape, scalar) for o in out)
+    sols, sigma = _solve(
+        p, lam, x, lambda z: [(0.0, 1.0), (1.0, complex(p.beta0))], nsteps)
+    scale = np.exp(sigma)
+    out = tuple(v * scale for sol in sols for v in sol)
+    return tuple(map(complex, out)) if np.ndim(lam) == 0 else out
 
 
 def solve_y(p: ReggeProblem, lam, x: float | None = None,
@@ -324,70 +340,29 @@ def solve_y(p: ReggeProblem, lam, x: float | None = None,
     y satisfies y(0) = 1, y'(0) = beta0 + i alpha0 lam, so it matches the
     left boundary condition for every lam.
     """
-    x = p.a if x is None else float(x)
-    if not (0.0 <= x <= p.a + 1e-12):
-        raise OutOfDomain(f"x = {x} outside [0, {p.a}]")
-    lam_b, shape, scalar = _as_batch(lam)
-    n = lam_b.size
-    U = np.ones((1, n), dtype=complex)
-    dU = np.empty((1, n), dtype=complex)
-    dU[0] = complex(p.beta0) + 1j * p.alpha0 * lam_b
-    sigma = np.zeros(n)
-    if x > 0.0:
-        m = _steps_for(p, x, nsteps)
-        qv = _q_halfstep_nodes(p.potential, 0.0, x, m)
-        U, dU, _, _, sigma = _march(qv, x / m, lam_b, U, dU)
-    return ScaledState(u=U[0].reshape(shape), du=dU[0].reshape(shape),
-                       sigma=sigma.reshape(shape))
+    [(u, du)], sigma = _solve(p, lam, x, lambda z: [_y_row(p, z)], nsteps)
+    return ScaledState(u=u, du=du, sigma=sigma)
 
 
 def solve_phi(p: ReggeProblem, lam, x: float = 0.0,
               nsteps: int | None = None) -> ScaledState:
     """Right boundary solution phi(lam, a) = 1, phi'(lam, a) = -(i alpha lam + beta).
 
-    Integrated from a down to x by solving the reflected problem forward,
-    so the same marching kernel serves both directions.
+    Integrated from a down to x by solving the reflected problem forward:
+    w(tau) = phi(a - tau) has w'(0) = -phi'(a), and phi'(x) = -w'(a - x).
     """
-    x = float(x)
-    if not (-1e-12 <= x <= p.a):
-        raise OutOfDomain(f"x = {x} outside [0, {p.a}]")
-    lam_b, shape, scalar = _as_batch(lam)
-    n = lam_b.size
-    span = p.a - x
-    U = np.ones((1, n), dtype=complex)
-    dU = np.empty((1, n), dtype=complex)
-    # z(tau) = phi(a - tau) satisfies z' (0) = -phi'(a)
-    dU[0] = 1j * p.alpha * lam_b + complex(p.beta)
-    sigma = np.zeros(n)
-    if span > 0.0:
-        m = _steps_for(p, span, nsteps)
-        qv = _q_halfstep_nodes(p.potential.reflect(), 0.0, span, m)
-        U, dU, _, _, sigma = _march(qv, span / m, lam_b, U, dU)
-    # back-transform: phi(x) = z(a - x), phi'(x) = -z'(a - x)
-    return ScaledState(u=U[0].reshape(shape), du=-dU[0].reshape(shape),
-                       sigma=sigma.reshape(shape))
+    [(u, du)], sigma = _solve(
+        p, lam, x, lambda z: [(1.0, 1j * p.alpha * z + complex(p.beta))],
+        nsteps, reflect=True)
+    return ScaledState(u=u, du=-du, sigma=sigma)
 
 
 def solve_y_lambda_derivative(p: ReggeProblem, lam, x: float | None = None,
                               nsteps: int | None = None) -> DerivState:
     """y together with its lambda-derivative; ydot(0) = 0, ydot'(0) = i alpha0."""
-    x = p.a if x is None else float(x)
-    if not (0.0 <= x <= p.a + 1e-12):
-        raise OutOfDomain(f"x = {x} outside [0, {p.a}]")
-    lam_b, shape, scalar = _as_batch(lam)
-    n = lam_b.size
-    u = np.ones((1, n), dtype=complex)
-    du = (complex(p.beta0) + 1j * p.alpha0 * lam_b).reshape(1, n)
-    v = np.zeros((1, n), dtype=complex)
-    dv = np.full((1, n), 1j * p.alpha0, dtype=complex)
-    sigma = np.zeros(n)
-    if x > 0.0:
-        m = _steps_for(p, x, nsteps)
-        qv = _q_halfstep_nodes(p.potential, 0.0, x, m)
-        u, du, v, dv, sigma = _march(qv, x / m, lam_b, u, du, v, dv)
-    return DerivState(u=u[0].reshape(shape), du=du[0].reshape(shape),
-                      sigma=sigma.reshape(shape), v=v[0].reshape(shape),
-                      dv=dv[0].reshape(shape))
+    [(u, du, v, dv)], sigma = _solve(
+        p, lam, x, lambda z: [_y_row(p, z) + (0.0, 1j * p.alpha0)], nsteps)
+    return DerivState(u=u, du=du, sigma=sigma, v=v, dv=dv)
 
 
 def _prefix(mats):
@@ -410,14 +385,13 @@ def solve_y_trajectory(p: ReggeProblem, lam, nsteps: int | None = None):
     quadrature of int_0^a y^2 dx on the integration mesh; callers should
     keep |Im lam| moderate so the descaled values fit in double precision.
     """
-    lam_b, shape, scalar = _as_batch(lam)
+    lam_b, shape = _as_batch(lam)
     n = lam_b.size
-    m = DEFAULT_STEPS if nsteps is None else int(nsteps)
-    steps = _Steps(_q_halfstep_nodes(p.potential, 0.0, p.a, m), p.a / m, lam_b)
-    u = np.ones(n, dtype=complex)
-    du = complex(p.beta0) + 1j * p.alpha0 * lam_b
+    steps = _Steps(*_mesh(p, p.a, nsteps), lam_b)
+    m = steps.n
     traj = np.empty((m + 1, n), dtype=complex)
-    traj[0] = u
+    traj[0], du = _y_row(p, lam_b)
+    u = traj[0]
     block = max(1, _BLOCK_ELEMENTS // n)
     for j0 in range(0, m, block):
         j1 = min(j0 + block, m)
@@ -546,7 +520,7 @@ def transform_rep_s(kernel: KernelGrid, lam, x: float):
     x = float(x)
     if not (0.0 <= x <= kernel.a + 1e-12):
         raise OutOfDomain(f"x = {x} outside [0, {kernel.a}]")
-    lam_b, shape, scalar = _as_batch(lam)
+    lam_b, shape = _as_batch(lam)
     h_mesh = kernel.mesh[1] - kernel.mesh[0]
     m = max(4, 2 * int(np.ceil(x / h_mesh / 2)))
     ts = np.linspace(0.0, x, m + 1)
@@ -557,5 +531,5 @@ def transform_rep_s(kernel: KernelGrid, lam, x: float):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     integral = (x / m / 3.0) * np.tensordot(w, integrand, axes=(0, 0))
-    out = _sin_over_lam(lam_b, x) + integral
-    return _unbatch(out, shape, scalar)
+    out = (_sin_over_lam(lam_b, x) + integral).reshape(shape)
+    return complex(out) if np.ndim(lam) == 0 else out

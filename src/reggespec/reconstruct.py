@@ -49,7 +49,7 @@ from .errors import (
     MisalignedInput,
     ZeroAtOrigin,
 )
-from .model import write_csv
+from .model import _csv_numbers, write_csv
 
 __all__ = [
     "ZeroSet",
@@ -91,6 +91,8 @@ class ZeroSet:
             m = int(m)
             if m < 1:
                 raise InconsistentInput(f"multiplicity {m} < 1 at {z}")
+            if not cmath.isfinite(z):
+                raise InconsistentInput(f"zero {z} is not finite")
             if z == 0:
                 raise InconsistentInput(
                     "zero at the origin belongs in order_at_origin")
@@ -143,17 +145,17 @@ def read_zeroset_csv(path: str) -> ZeroSet:
             if line.startswith("#"):
                 key, _, val = line.lstrip("# ").partition("=")
                 if key.strip() == "order_at_origin":
-                    order = int(val)
+                    [order] = _csv_numbers(path, line, [val], [int])
                 continue
             if line.startswith("re,"):
                 continue
-            try:
-                re_s, im_s, m_s = line.split(",")
-                zeros.append((complex(float(re_s), float(im_s)), int(m_s)))
-            except ValueError as exc:
+            cells = line.split(",")
+            if len(cells) != 3:
                 raise InconsistentInput(
                     f"{path}: expected re,im,multiplicity rows, "
-                    f"got {line!r}") from exc
+                    f"got {line!r}")
+            zr, zi, m = _csv_numbers(path, line, cells, (float, float, int))
+            zeros.append((complex(zr, zi), m))
     return ZeroSet(zeros=zeros, order_at_origin=order)
 
 

@@ -9,7 +9,11 @@ installs the wrappers and restores them, so such a refactor fails here.
 import importlib.util
 import pathlib
 
-from reggespec import cli, partialinv, roots
+import numpy as np
+
+from reggespec import Sign, charfn, cli, partialinv, roots
+
+from conftest import grid_problem
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -34,3 +38,32 @@ def test_traced_run_finds_every_wrapped_name():
         tracer.restore()
     assert (cli.main, cli.compute_spectrum, roots.newton_refine,
             partialinv.phi1_eval) == before
+
+
+def test_traced_marchers_bind_lam_x_and_nsteps():
+    """The marcher spans read lam, x and nsteps by name; a renamed
+    parameter breaks the traced run, so check the counts they record."""
+    spans = _load_spans()
+    p = grid_problem(7)
+    lam = np.array([1.5, 2.5 + 0.2j, 4.0])
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        tracer.op = 0
+        charfn.delta(p, Sign.PLUS, lam, nsteps=64)
+        charfn.delta_dot(p, Sign.MINUS, lam, nsteps=64)
+        charfn.wronskian_delta(p, Sign.PLUS, lam, 0.25, nsteps=64)
+        charfn.energy_terms(p, lam, nsteps=64)
+    finally:
+        tracer.op = None
+        tracer.restore()
+    got = [(sp.name.split(".", 1)[1], sp.info["batch"], sp.info["steps"])
+           for sp in tracer.spans if sp.name in spans.MARCHERS]
+    assert got == [
+        ("solve_y", 3, 64),                      # delta
+        ("solve_y_lambda_derivative", 3, 64),    # delta_dot
+        ("solve_phi", 3, 48),                    # wronskian: a down to 0.25
+        ("solve_y", 3, 16),                      # wronskian: 0 up to 0.25
+        ("solve_y_lambda_derivative", 3, 64),    # energy_terms
+        ("solve_y_trajectory", 3, 64),
+    ]

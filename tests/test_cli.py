@@ -350,6 +350,35 @@ def test_reconstruct_hadamard_rejects_spectrum_csv(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _zero_rows(*extra):
+    """A zero-set CSV of 400 zeros of z cos z plus the given rows."""
+    good = [f"{s * (k - 0.5) * math.pi!r},0,1"
+            for k in range(1, 201) for s in (1.0, -1.0)]
+    return ("# order_at_origin=1\nre,im,multiplicity\n"
+            + "\n".join(good + list(extra)) + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    "# order_at_origin=x\nre,im,multiplicity\n1.5,0,1\n",
+    _zero_rows("inf,0,1"),
+    _zero_rows("nan,0,1"),
+    _zero_rows("5,nan,1"),
+], ids=["order", "inf", "nan-re", "nan-im"])
+def test_reconstruct_hadamard_refuses_malformed_zero_sets(tmp_path, capsys,
+                                                          text):
+    # no traceback, and no answer built from a nan zero: exit 2 naming
+    # the file
+    path = tmp_path / "zeros.csv"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    rc = main(["reconstruct", "--mode", "hadamard", "--zeros", str(path),
+               "--selector", "c1", "--c0", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+    assert not out.exists()
+
+
 def test_reconstruct_hadamard(tmp_path, capsys):
     zs = ZeroSet(zeros=[(s * (k - 0.5) * math.pi, 1)
                         for k in range(1, 2501) for s in (1.0, -1.0)],
@@ -429,6 +458,17 @@ def test_partial_requires_both_configs(tmp_path):
     c1, _ = _twin_cfgs(tmp_path)
     assert main(["partial", "--config", c1, "--split", "0.3",
                  "--out", str(tmp_path / "x")]) == 2
+
+
+def test_plot_refuses_non_finite_points(tmp_path, capsys):
+    src = tmp_path / "pts.csv"
+    src.write_text("k,re,im,multiplicity,residual\n"
+                   "1,1.5,0.25,1,0\n-1,nan,0.25,1,0\n")
+    out = tmp_path / "pts.svg"
+    assert main(["plot", "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "non-finite number in row" in err
+    assert not out.exists()
 
 
 def test_plot_roundtrip(tmp_path):

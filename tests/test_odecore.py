@@ -1,10 +1,13 @@
 """Integrator oracles: constant-potential closed forms, scaling, kernel."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import reggespec.odecore as odecore
 from reggespec import (
     DEFAULT_STEPS,
     OutOfDomain,
@@ -403,3 +406,67 @@ def test_marcher_rounding_stays_at_step_loop_level():
     scale = np.maximum(np.abs(u[0]), np.abs(du[0]))
     err = np.maximum(np.abs(st.value - u[0]), np.abs(st.derivative - du[0]))
     assert (err / scale).astype(float).max() < 3e-14
+
+
+# ---- the entry contract -------------------------------------------------------
+
+_SOLVERS = (solve_sc, solve_y, solve_phi, solve_y_lambda_derivative)
+
+
+@pytest.mark.parametrize("solver", _SOLVERS)
+def test_domain_edges_allow_rounding_slack_only(solver):
+    """x may overshoot the far end of the march by 1e-13, not by 1e-11;
+    the error names the x the caller passed."""
+    p = _grid_q(False)
+    far, sign = (0.0, -1.0) if solver is solve_phi else (p.a, 1.0)
+    solver(p, 2.0 + 0.5j, x=far + sign * 1e-13, nsteps=64)
+    bad = far + sign * 1e-11
+    with pytest.raises(OutOfDomain, match=f"x = {bad} outside"):
+        solver(p, 2.0 + 0.5j, x=bad, nsteps=64)
+
+
+def _outputs(result):
+    if isinstance(result, tuple):
+        return list(result)
+    return [result.u, result.du, result.sigma] + (
+        [result.v, result.dv] if hasattr(result, "v") else [])
+
+
+@pytest.mark.parametrize("solver", _SOLVERS)
+def test_result_follows_lambda_shape(solver):
+    """A Python scalar and a 0-d array give scalars (Python complex from
+    solve_sc, 0-d values from the scaled states); a 2-D lam gives 2-D
+    outputs."""
+    p = _grid_q(True)
+    lam2 = np.array([[1.0 + 0.5j, 2.0, -3.0j], [4.0, 5.0 - 1.0j, 0.5]])
+    for lam, shape in ((2.0 + 0.5j, ()), (np.array(2.0 + 0.5j), ()),
+                       (lam2, (2, 3))):
+        out = _outputs(solver(p, lam, x=0.5, nsteps=64))
+        assert all(np.shape(v) == shape for v in out)
+        if solver is solve_sc and shape == ():
+            assert all(type(v) is complex for v in out)
+    flat = _outputs(solver(p, lam2.reshape(-1), x=0.5, nsteps=64))
+    for got, want in zip(_outputs(solver(p, lam2, x=0.5, nsteps=64)), flat):
+        assert np.array_equal(np.reshape(got, -1), want)
+
+
+def test_trajectory_follows_lambda_shape():
+    p = _grid_q(False)
+    lam2 = np.array([[1.0, 2.0 + 0.5j], [3.0, 4.0]])
+    xs, traj, sigma = solve_y_trajectory(p, lam2, nsteps=64)
+    assert xs.shape == (65,) and traj.shape == (65, 2, 2)
+    assert sigma.shape == (2, 2)
+    xs, traj, sigma = solve_y_trajectory(p, 2.0, nsteps=64)
+    assert traj.shape == (65,) and sigma.shape == ()
+
+
+def test_march_has_one_caller():
+    """Every solver goes through _solve; a new entry that calls _march
+    directly would grow its own prologue again."""
+    tree = ast.parse(pathlib.Path(odecore.__file__).read_text())
+    callers = [fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_march"]
+    assert callers == ["_solve"]

@@ -90,6 +90,21 @@ def test_zeroset_csv_rejects_wrong_column_count(tmp_path):
         read_zeroset_csv(str(path))
 
 
+def test_zeroset_refuses_non_finite_zeros():
+    for z in (math.nan, complex(5.0, math.nan), math.inf):
+        with pytest.raises(InconsistentInput, match="not finite"):
+            ZeroSet(zeros=[(1.0, 1), (z, 1)])
+
+
+def test_zeroset_csv_names_file_and_row_of_a_bad_number(tmp_path):
+    path = tmp_path / "zeros.csv"
+    for row in ("# order_at_origin=x", "nan,0,1", "1.5,0,two"):
+        path.write_text(f"re,im,multiplicity\n2.5,0,1\n{row}\n")
+        with pytest.raises(InconsistentInput, match="number in row") as exc:
+            read_zeroset_csv(str(path))
+        assert str(path) in str(exc.value) and row in str(exc.value)
+
+
 def test_hadamard_recovers_z_cos_z():
     model = hadamard_build(_cos_zeroset(4000), "c1", 1.0)
     assert abs(model.b) < 1e-7
