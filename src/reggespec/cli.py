@@ -87,40 +87,35 @@ def _cg(z) -> str:
     return f"{z.real:.17g} {z.imag:+.17g}i"
 
 
+def _finite_floats(parts: list, flag: str, spec: str) -> list:
+    """Each part as a float; a malformed or non-finite one is a config
+    error naming the flag."""
+    try:
+        vals = [float(t) for t in parts]
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"{flag} values must be finite; got {spec!r}")
+    return vals
+
+
 def _parse_rect(spec: str) -> Rectangle:
     parts = spec.split(",")
     if len(parts) != 4:
         raise ValidationError(
             f"--rect needs re_min,re_max,im_min,im_max; got {spec!r}")
-    try:
-        a, b, c, d = (float(t) for t in parts)
-    except ValueError as exc:
-        raise ValidationError(f"--rect: {exc}") from exc
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise ValidationError(f"--rect values must be finite; got {spec!r}")
-    return Rectangle(a, b, c, d)
+    return Rectangle(*_finite_floats(parts, "--rect", spec))
 
 
 def _parse_complex(spec: str, flag: str) -> complex:
     parts = spec.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ValidationError(f"{flag}: {exc}") from exc
-    raise ValidationError(f"{flag} takes re or re,im; got {spec!r}")
+    if len(parts) not in (1, 2):
+        raise ValidationError(f"{flag} takes re or re,im; got {spec!r}")
+    return complex(*_finite_floats(parts, flag, spec))
 
 
 def _parse_floats(spec: str, flag: str) -> np.ndarray:
-    try:
-        vals = np.array([float(t) for t in spec.split(",")])
-    except ValueError as exc:
-        raise ValidationError(f"{flag}: {exc}") from exc
-    if len(vals) == 0:
-        raise ValidationError(f"{flag}: empty list")
-    return vals
+    return np.array(_finite_floats(spec.split(","), flag, spec))
 
 
 def _tol(args, default: float) -> float:
@@ -492,8 +487,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(",")
     if len(parts) != 3:
         raise ValidationError(f"--grid needs lo,hi,n; got {spec!r}")
+    lo, hi = _finite_floats(parts[:2], "--grid", spec)
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        n = int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"--grid: {exc}") from exc
     if n < 2 or not hi > lo:
@@ -504,9 +500,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _recon_hadamard(args) -> int:
     zs = read_zeroset_csv(_need(args.zeros, "--zeros"))
     c0 = _parse_complex(args.c0, "--c0")
+    xs = _parse_grid(args.grid)
     tol = _tol(args, 1e-4)
     model = hadamard_build(zs, args.selector, c0, N=args.trunc, tol=tol)
-    xs = _parse_grid(args.grid)
     vals = model.eval(xs.astype(complex))
     out = _need(args.out, "--out")
     write_csv(out, "x,re,im", zip(xs, vals))

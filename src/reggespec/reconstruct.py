@@ -47,6 +47,7 @@ from .errors import (
     InconsistentInput,
     LimitNotConverged,
     MisalignedInput,
+    OutOfDomain,
     ZeroAtOrigin,
 )
 from .model import _csv_numbers, write_csv
@@ -184,7 +185,19 @@ class HadamardModel:
             self._rays = _tail_rays(self._vals)
 
     def log_E(self, z) -> np.ndarray:
+        """ln E(z) with the continued-lattice tail.
+
+        Raises OutOfDomain for a non-finite point or one beyond the
+        tail's reach (see _tail_reach), where the capped tail sum would
+        return a silently inaccurate value.
+        """
         z = np.asarray(z, dtype=complex)
+        zmax = float(np.max(np.abs(z), initial=0.0))
+        reach = _tail_reach(self._rays)
+        if not (math.isfinite(zmax) and zmax <= reach):
+            raise OutOfDomain(
+                f"Hadamard model evaluated at |z| = {zmax:.6g}; it needs "
+                f"finite |z| <= {reach:.6g}, the reach of its lattice tail")
         return (_log_E(z, self._vals, self._wts, self.zeroset.order_at_origin)
                 + _tail_log(z, self._rays))
 
@@ -215,17 +228,42 @@ def _truncated(zs: ZeroSet, n: int):
     return vals[:idx + 1], wts[:idx + 1]
 
 
-# zeros per block of the product sums: bounds the (points, zeros) arrays
+# zeros per block of the product sums; each point's sum adds the blocks
+# in order, so its rounding does not depend on the other points
 _BLOCK = 4096
+# complex elements per (points, zeros) temporary of a product sum
+# (1 MiB: 16 points x one full block)
+_TILE_ELEMENTS = 1 << 16
+
+
+def _add_product_sum(out: np.ndarray, zf: np.ndarray, zeros: np.ndarray,
+                     wts: np.ndarray | None = None) -> None:
+    """out += sum over zeros of w (log1p(-z/zeta) + z/zeta), for one block.
+
+    The points are taken a tile of _TILE_ELEMENTS // len(zeros) at a time,
+    so the temporaries stay at _TILE_ELEMENTS elements whatever the number
+    of points.  wts None means unit weights (not multiplied, which would
+    turn a -inf term into nan).
+    """
+    rows = max(1, _TILE_ELEMENTS // len(zeros))
+    for r in range(0, len(zf), rows):
+        u = zf[r:r + rows, None] / zeros[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.log1p(-u) + u
+        if wts is not None:
+            term *= wts[None, :]
+        out[r:r + rows] += term.sum(axis=1)
 
 
 def _log_E(z: np.ndarray, vals: np.ndarray, wts: np.ndarray,
            s: int) -> np.ndarray:
     """Sum of per-factor principal logs of the genus-1 product.
 
-    Ordered block reduction: deterministic regardless of evaluation
-    batch shape.  Exact for the product's value since exp undoes each
-    factor's log individually.
+    Ordered block reduction over _BLOCK zeros at a time, each block
+    tiled so no temporary exceeds _TILE_ELEMENTS complex elements (1 MiB):
+    deterministic regardless of evaluation batch shape, and the working
+    set does not grow with the number of points.  Exact for the
+    product's value since exp undoes each factor's log individually.
     """
     zf = z.reshape(-1)
     out = np.zeros(zf.shape, dtype=complex)
@@ -235,12 +273,7 @@ def _log_E(z: np.ndarray, vals: np.ndarray, wts: np.ndarray,
         lz[zero] = complex(-math.inf, 0.0)
         out += lz
     for i in range(0, len(vals), _BLOCK):
-        vb = vals[i:i + _BLOCK]
-        wb = wts[i:i + _BLOCK]
-        u = zf[:, None] / vb[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.log1p(-u) + u
-        out += (term * wb[None, :]).sum(axis=1)
+        _add_product_sum(out, zf, vals[i:i + _BLOCK], wts[i:i + _BLOCK])
     return out.reshape(z.shape)
 
 
@@ -276,6 +309,18 @@ def _tail_rays(vals: np.ndarray) -> tuple[_TailRay, ...]:
     return tuple(rays)
 
 
+# the direct tail sum runs until |z| / |zero| <= 1 / _TAIL_RATIO, over
+# at most _TAIL_CAP continued zeros per ray
+_TAIL_RATIO = 50.0
+_TAIL_CAP = 2_000_000
+
+
+def _tail_reach(rays: tuple[_TailRay, ...]) -> float:
+    """Largest |z| for which the capped tail keeps its 1/_TAIL_RATIO rule."""
+    return min(((ray.start + _TAIL_CAP * ray.step) / _TAIL_RATIO
+                for ray in rays), default=math.inf)
+
+
 def _powsum(c0: complex, a: int, p: int) -> complex:
     """Euler-Maclaurin value of sum_{j>=a} (c0+j)^-p for Re(c0+a) >> 1."""
     w = c0 + a
@@ -287,21 +332,22 @@ def _powsum(c0: complex, a: int, p: int) -> complex:
 def _tail_log(z: np.ndarray, rays: tuple[_TailRay, ...]) -> np.ndarray:
     """ln of the product over the continued-lattice zeros.
 
-    Factors up to j0 (chosen so |z| / |zero| <= 1/50 beyond it) are
-    summed directly; the remainder uses the power series of log1p
-    through z^6 with Euler-Maclaurin sums of (c0+j)^-p, so the O(1/j)
-    decay of the quadratic term never has to be summed term by term.
+    Factors up to j0 (chosen so |z| / |zero| <= 1/50 beyond it, capped
+    at _TAIL_CAP) are summed directly; the remainder uses the power
+    series of log1p through z^6 with Euler-Maclaurin sums of (c0+j)^-p,
+    so the O(1/j) decay of the quadratic term never has to be summed
+    term by term.
     """
     zf = z.reshape(-1)
     out = np.zeros(zf.shape, dtype=complex)
     zmax = float(np.max(np.abs(zf))) if zf.size else 0.0
     for ray in rays:
-        j0 = max(4096, int(math.ceil((50.0 * zmax - ray.start) / ray.step)))
-        j0 = min(j0, 2_000_000)
+        j0 = max(4096, int(math.ceil((_TAIL_RATIO * zmax - ray.start)
+                                     / ray.step)))
+        j0 = min(j0, _TAIL_CAP)
         for i in range(1, j0 + 1, _BLOCK):
-            zeros = ray.zero(np.arange(i, min(i + _BLOCK, j0 + 1), dtype=float))
-            u = zf[:, None] / zeros[None, :]
-            out += (np.log1p(-u) + u).sum(axis=1)
+            _add_product_sum(out, zf, ray.zero(
+                np.arange(i, min(i + _BLOCK, j0 + 1), dtype=float)))
         c0 = (ray.start + 1j * ray.side * ray.imag) / ray.step
         for p in range(2, 7):
             s_p = _powsum(c0, j0 + 1, p) * (ray.side * ray.step) ** (-p)

@@ -379,6 +379,45 @@ def test_reconstruct_hadamard_refuses_malformed_zero_sets(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--c0", "nan"], "--c0"),
+    (["--c0", "inf"], "--c0"),
+    (["--c0", "1,nan"], "--c0"),
+    (["--c0", "1", "--grid=-5,inf,201"], "--grid"),
+    (["--c0", "1", "--grid=nan,5,201"], "--grid"),
+    (["--c0", "1", "--grid=0,2e5,2"], "reach"),
+], ids=["c0-nan", "c0-inf", "c0-im-nan", "grid-inf", "grid-nan",
+        "grid-beyond-tail"])
+def test_reconstruct_hadamard_refuses_non_finite_or_unreachable_points(
+        tmp_path, capsys, argv, name):
+    """A non-finite --c0 or --grid, or a grid point beyond the reach of
+    the lattice tail, exits 2 naming it instead of writing nan rows or a
+    quietly inaccurate table."""
+    zpath = tmp_path / "zeros.csv"
+    zpath.write_text(_zero_rows())
+    out = tmp_path / "out.csv"
+    rc = main(["reconstruct", "--mode", "hadamard", "--zeros", str(zpath),
+               "--selector", "c1", "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radii", "10,inf", "--tsched", "30,60,120,240"],
+    ["--tsched", "30,nan,120"],
+], ids=["radii", "tsched"])
+def test_partial_refuses_non_finite_schedules(tmp_path, capsys, argv):
+    c1, c2 = _twin_cfgs(tmp_path)
+    rc = main(["partial", "--config", c1, "--config2", c2, "--split", "0.3",
+               "--kmax", "20", "--out", str(tmp_path / "twin")] + argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and argv[0] in err
+    assert not list(tmp_path.glob("twin*"))
+
+
 def test_reconstruct_hadamard(tmp_path, capsys):
     zs = ZeroSet(zeros=[(s * (k - 0.5) * math.pi, 1)
                         for k in range(1, 2501) for s in (1.0, -1.0)],

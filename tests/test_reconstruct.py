@@ -11,6 +11,7 @@ from reggespec.errors import (
     InconsistentInput,
     LimitNotConverged,
     MisalignedInput,
+    OutOfDomain,
     ZeroAtOrigin,
 )
 from reggespec.model import Sign
@@ -266,3 +267,80 @@ def test_hadamard_eval_keeps_array_shape():
     assert abs(one[0] - 0.7 * math.cos(0.7)) < 1e-5
     assert model.eval(np.array([0.0])).shape == (1,)
     assert isinstance(model.eval(0.7), complex)
+
+
+@pytest.fixture(scope="module")
+def lattice_model():
+    """z cos z from 3,000 zeros, truncated at N = 2000."""
+    return hadamard_build(_cos_zeroset(1500), "c1", 1.0, N=2000)
+
+
+def test_hadamard_log_E_does_not_depend_on_batch_shape(lattice_model):
+    """The product sums run in tiles of points, but each point adds the
+    same blocks in the same order: a batch, its points one at a time and
+    a 2-D reshape give the same bytes."""
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-40.0, 40.0, 401) + 1j * rng.uniform(-3.0, 3.0, 401)
+    whole = lattice_model.log_E(z)
+    ones = np.concatenate([lattice_model.log_E(z[i:i + 1])
+                           for i in range(len(z))])
+    assert ones.tobytes() == whole.tobytes()
+    grid = lattice_model.log_E(z[:399].reshape(7, 57))
+    assert grid.shape == (7, 57)
+    assert grid.ravel().tobytes() == whole[:399].tobytes()
+
+
+def test_hadamard_eval_memory_does_not_grow_with_points(lattice_model):
+    """Temporaries are bounded by the tile budget (1 MiB each), not by
+    points x zeros: 201 and 401 points peak alike, under 8 MiB."""
+    import tracemalloc
+
+    def peak(n):
+        z = np.linspace(-5.0, 5.0, n)
+        tracemalloc.start()
+        try:
+            lattice_model.eval(z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lattice_model.eval(np.linspace(-5.0, 5.0, 201))   # warm-up
+    p201, p401 = peak(201), peak(401)
+    assert p401 < 8 * 2 ** 20
+    assert abs(p401 - p201) < 2 ** 20
+
+
+def test_hadamard_refuses_points_it_cannot_evaluate(lattice_model):
+    """Beyond (start + cap * step) / 50 the capped lattice tail would
+    lose its 1/50 rule and return a quietly wrong value."""
+    reach = (999.5 * math.pi + 2_000_000 * math.pi) / 50.0
+    for z in (math.nan, np.array([1.0, math.inf]), complex(0.0, math.nan),
+              1.01 * reach, np.array([0.5, -1.01j * reach])):
+        with pytest.raises(OutOfDomain):
+            lattice_model.eval(z)
+        with pytest.raises(OutOfDomain):
+            lattice_model.log_E(z)
+
+
+def test_log1p_is_called_in_one_function():
+    """Every product sum goes through the tiled kernel: np.log1p appears
+    in exactly one function of reconstruct.py."""
+    import ast
+    import reggespec.reconstruct as rc
+
+    with open(rc.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    owners = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "log1p"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"):
+            owners.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    assert owners == {"_add_product_sum"}
