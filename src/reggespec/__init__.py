@@ -15,35 +15,30 @@ from .asympt import (
     lattice_indices,
     mu_k,
     phi1_eval,
-    phi1_zeros,
     predicted_lambda,
     recover_alphas,
     residual_tail,
     write_residual_tail_csv,
 )
 from .charfn import (
-    CharFnSample,
     delta,
     delta_dot,
-    delta_scaled,
     delta_zero,
     delta_zero_dot,
     energy_identity_residual,
     identity_residual,
     robin_charfn,
     robin_dot,
-    sample_charfn,
     wronskian_delta,
-    write_samples_csv,
 )
 from .errors import (
     BoundaryZero,
     BranchAmbiguity,
+    CountMismatch,
     DegenerateCase,
     DegenerateSigma,
     InconsistentInput,
     InconsistentRealFlag,
-    InterlacingViolation,
     LimitNotConverged,
     MisalignedInput,
     MultiplicityCap,
@@ -56,7 +51,6 @@ from .errors import (
     OutOfDomain,
     Overflow,
     ReggeError,
-    SignViolation,
     TruncationDominates,
     ValidationError,
     ZeroAtOrigin,
@@ -85,13 +79,11 @@ from .odecore import (
     transform_rep_s,
 )
 from .partialinv import (
-    CountingFunction,
     CriticalDiagnostics,
     DensityReport,
     DeviationReport,
     F_mismatch,
     IndicatorEstimate,
-    counting_function,
     critical_diagnostics,
     default_radius_schedule,
     density_check,
@@ -110,10 +102,8 @@ from .reconstruct import (
     even_delta_minus,
     hadamard_build,
     read_zeroset_csv,
-    sign_disambiguate,
     two_spectra_robin,
     write_zeroset_csv,
-    zeroset_from_spectrum,
 )
 from .roots import (
     InterlaceReport,

@@ -31,7 +31,6 @@ __all__ = [
     "residual_tail",
     "write_residual_tail_csv",
     "phi1_eval",
-    "phi1_zeros",
     "appendix_P",
     "recover_alphas",
 ]
@@ -118,27 +117,19 @@ def mu_k(m: AsymptoticModel, s: Sign, k: int) -> complex:
     """
     if m.case_sign == 0:
         raise DegenerateCase("no lattice in the degenerate case")
-    return _lattice_point(m.case_sign > 0, 0.5j * m.P0(s) / m.a, m.a, k)
+    half = m.case_sign > 0
+    if k == (0 if half else -1):
+        return 0.0 + 0.0j
+    if k == 0:
+        raise ValueError("k=0 is not an index of the integer lattice")
+    return ((math.pi / m.a) * (abs(k) - (0.5 if half else 1.0))
+            * (1 if k > 0 else -1) + 0.5j * m.P0(s) / m.a)
 
 
 def lattice_indices(m: AsymptoticModel, lo: int, hi: int) -> list[int]:
     """The lattice indices k with lo <= k <= hi, ascending; k = 0 is an
     index only when case_sign > 0."""
     return [k for k in range(lo, hi + 1) if k != 0 or m.case_sign > 0]
-
-
-def _lattice_point(half: bool, shift: complex, a: float, k: int) -> complex:
-    """k-th point of the shifted half-integer (half) or integer lattice
-    of spacing pi/a, numbered as mu_k's docstring says."""
-    if k == (0 if half else -1):
-        return 0.0 + 0.0j
-    if k == 0:
-        raise ValueError("k=0 is not an index of the integer lattice")
-    return (math.pi / a) * (abs(k) - (0.5 if half else 1.0)) * _sgn(k) + shift
-
-
-def _sgn(k: int) -> int:
-    return 1 if k > 0 else (-1 if k < 0 else 0)
 
 
 def predicted_lambda(m: AsymptoticModel, s: Sign, k: int) -> complex:
@@ -176,25 +167,6 @@ def phi1_eval(sigma1: float, sigma2: float, a: float, lam):
     """lam (sigma1 cos(lam a) + i sigma2 sin(lam a))."""
     lam = np.asarray(lam, dtype=complex)
     return lam * (sigma1 * np.cos(lam * a) + 1j * sigma2 * np.sin(lam * a))
-
-
-def phi1_zeros(sigma1: float, sigma2: float, a: float, k: int) -> complex:
-    """Exact k-th zero of the leading trig polynomial.
-
-    Solving exp(2 i lam a) = (sigma2-sigma1)/(sigma2+sigma1) with the
-    principal log plus the lam=0 root from the prefactor gives two
-    lattice shapes by the sign of (sigma2-sigma1)(sigma2+sigma1):
-    negative: indices all of Z with the 0-th zero at 0 and the rest on
-    the half-integer lattice; positive: indices the nonzero integers
-    with the (-1)-st zero at 0 and the rest on the integer lattice.
-    Both carry the shift (i/2a) ln(|sigma2+sigma1|/|sigma2-sigma1|).
-    """
-    d = (sigma2 - sigma1) * (sigma2 + sigma1)
-    if d == 0.0:
-        raise DegenerateSigma(
-            f"sigma1={sigma1}, sigma2={sigma2}: sigma1 = +-sigma2")
-    shift = 0.5j * math.log(abs(sigma2 + sigma1) / abs(sigma2 - sigma1)) / a
-    return _lattice_point(d < 0, shift, a, k)
 
 
 def appendix_P(sigma1: float, sigma2: float, M: complex, N: complex) -> complex:

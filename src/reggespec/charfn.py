@@ -17,11 +17,9 @@ connecting Delta_(+/-)(+/-lam), and the energy identity that expresses
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import ReggeProblem, Sign, write_csv
+from .model import ReggeProblem, Sign
 from .odecore import (
     DerivState,
     solve_phi,
@@ -32,7 +30,6 @@ from .odecore import (
 
 __all__ = [
     "delta",
-    "delta_scaled",
     "delta_zero",
     "delta_dot",
     "wronskian_delta",
@@ -42,9 +39,6 @@ __all__ = [
     "robin_dot",
     "energy_terms",
     "energy_identity_residual",
-    "CharFnSample",
-    "sample_charfn",
-    "write_samples_csv",
 ]
 
 
@@ -68,15 +62,6 @@ def _view(p: ReggeProblem, s, lam, nsteps, dot: bool = False):
     """The form named by s (or its lambda-derivative) at lam, descaled."""
     st = (solve_y_lambda_derivative if dot else solve_y)(p, lam, nsteps=nsteps)
     return _unwrap(_form(p, s, lam, st, dot) * np.exp(st.sigma))
-
-
-def delta_scaled(p: ReggeProblem, sign: Sign, lam, nsteps=None):
-    """(mantissa, sigma) with Delta = mantissa * exp(sigma); sigma real.
-
-    Safe at large |Im lam| where the descaled value would overflow.
-    """
-    st = solve_y(p, lam, nsteps=nsteps)
-    return _unwrap(_form(p, sign.s, lam, st)), _unwrap(st.sigma)
 
 
 def delta(p: ReggeProblem, sign: Sign, lam, nsteps=None):
@@ -190,37 +175,3 @@ def energy_identity_residual(p: ReggeProblem, lam, nsteps=None):
     lhs, t1, t2, t3, t4 = energy_terms(p, lam, nsteps=nsteps)
     return _unwrap(t1 + t2 + t3 + t4 - lhs)
 
-
-# ---- sampling / CSV -------------------------------------------------------
-
-@dataclass
-class CharFnSample:
-    lam: complex
-    value: complex
-    scale_exponent: float
-    derivative: complex | None = None
-
-
-def sample_charfn(p: ReggeProblem, sign: Sign, lams, with_derivative: bool = False,
-                  nsteps=None) -> list[CharFnSample]:
-    lams = np.asarray(lams, dtype=complex).reshape(-1)
-    # the derivative state also carries the value and its scale
-    st = (solve_y_lambda_derivative if with_derivative else solve_y)(
-        p, lams, nsteps=nsteps)
-    scale = np.exp(st.sigma)
-    vals = _form(p, sign.s, lams, st) * scale
-    ders = (_form(p, sign.s, lams, st, dot=True) * scale
-            if with_derivative else None)
-    out = []
-    for i, lam in enumerate(lams):
-        out.append(CharFnSample(
-            lam=complex(lam), value=complex(vals[i]),
-            scale_exponent=float(st.sigma[i]),
-            derivative=complex(ders[i]) if with_derivative else None))
-    return out
-
-
-def write_samples_csv(samples: list[CharFnSample], path: str) -> None:
-    """Write samples atomically with 17 significant digits."""
-    write_csv(path, "λ_re,λ_im,value_re,value_im",
-              ((s.lam, s.value) for s in samples))

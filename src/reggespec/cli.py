@@ -4,7 +4,9 @@ Exit codes: 0 success (all checks passed), 1 a verification or
 comparison failed, 2 config/usage error (out-of-range flags included:
 --nsteps >= 8, --count, --kmax >= 1, --samples >= 2, --trunc >= 32,
 --angles >= 4; --tol, --lam-max, --tau-max, --window, --split, --b-plus,
---b-minus finite and > 0), 3 numerical failure inside a solver.
+--b-minus finite and > 0), 3 numerical failure inside a solver
+(including a zero search whose zeros do not add up to the winding count
+of its rectangle).
 Numeric output is printed with 17 significant digits so values
 round-trip losslessly; every file is written to a temporary name in the
 same directory and renamed, so a failing run leaves no partial artifacts.

@@ -63,7 +63,11 @@ class NewtonDivergence(NumericalError):
 
 
 class MultiplicityCap(NumericalError):
-    """Apparent zero multiplicity exceeds the configured cap."""
+    """Apparent zero multiplicity exceeds the cap."""
+
+
+class CountMismatch(NumericalError):
+    """The zeros found do not add up to the winding count of the region."""
 
 
 class DegenerateCase(NumericalError):
@@ -84,14 +88,6 @@ class BranchAmbiguity(NumericalError):
 
 class ZeroAtOrigin(NumericalError):
     """Pipeline requires a characteristic function nonzero at the origin."""
-
-
-class SignViolation(NumericalError):
-    """A predicted sign condition fails at a computed eigenvalue."""
-
-
-class InterlacingViolation(NumericalError):
-    """Predicted interlacing of imaginary-axis zeros fails."""
 
 
 class Overflow(NumericalError):

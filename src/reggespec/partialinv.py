@@ -42,8 +42,6 @@ from .roots import newton_refine
 __all__ = [
     "F_mismatch",
     "f_mismatch_logabs",
-    "CountingFunction",
-    "counting_function",
     "IndicatorEstimate",
     "indicator_estimate",
     "default_radius_schedule",
@@ -100,28 +98,6 @@ def f_mismatch_logabs(p1: ReggeProblem, p2: ReggeProblem, b: float, lam,
 
 # ---- counting and growth ----------------------------------------------------
 
-@dataclass(frozen=True)
-class CountingFunction:
-    """Sorted zero moduli with multiplicity; n(r) = #{|z| <= r}."""
-
-    moduli: np.ndarray
-
-    @staticmethod
-    def from_zeroset(zs: ZeroSet) -> "CountingFunction":
-        mods = np.repeat(np.abs(zs.values), zs.weights.astype(int))
-        mods = np.concatenate([np.zeros(zs.order_at_origin), mods])
-        return CountingFunction(moduli=np.sort(mods))
-
-    def __call__(self, r: float) -> int:
-        if r < 0:
-            raise OutOfDomain(f"radius r = {r} is negative")
-        return int(np.searchsorted(self.moduli, r, side="right"))
-
-
-def counting_function(zs: ZeroSet, r: float) -> int:
-    return CountingFunction.from_zeroset(zs)(r)
-
-
 def default_radius_schedule(a: float) -> np.ndarray:
     return np.array([25.0, 50.0, 100.0, 200.0]) * max(1.0, 1.0 / a)
 
@@ -140,13 +116,6 @@ class IndicatorEstimate:
     samples: np.ndarray
     h: np.ndarray
     logmag: np.ndarray
-
-    @property
-    def trapezoid_integral(self) -> float:
-        """Integral of the h-estimate over the angle grid (periodic)."""
-        th = np.concatenate([self.angles, [self.angles[0] + 2 * math.pi]])
-        hh = np.concatenate([self.h, [self.h[0]]])
-        return float(np.trapezoid(hh, th))
 
 
 def indicator_estimate(f, angles=None, radii=None,
@@ -214,8 +183,10 @@ def density_check(zs: ZeroSet, m: float, r_probe,
     r_probe = np.asarray(r_probe, dtype=float)
     if np.any(np.diff(r_probe) <= 0) or np.any(r_probe <= 0):
         raise InconsistentInput("probe radii must be positive increasing")
-    nf = CountingFunction.from_zeroset(zs)
-    ratios = np.array([nf(r) * math.pi / (2.0 * r) for r in r_probe])
+    mods = np.sort(np.repeat(np.abs(zs.values), zs.weights.astype(int)))
+    counts = zs.order_at_origin + np.searchsorted(mods, r_probe, side="right")
+    ratios = np.array([n * math.pi / (2.0 * r)
+                       for n, r in zip(counts, r_probe)])
     return DensityReport(radii=r_probe, ratios=ratios, m=float(m),
                          window=float(window))
 
@@ -295,9 +266,6 @@ class DeviationReport:
     minus_sum: float
     plus_range: tuple | None
     minus_range: tuple | None
-
-    def __float__(self) -> float:
-        return self.total
 
 
 def _one_deviation(subset, b_side: float, m: AsymptoticModel, s: Sign):

@@ -28,10 +28,8 @@ The module also inverts the spectral relations tying the two boundary
 sign choices together: the even-problem square root recovering the
 minus function from the plus function (with branch tracking across the
 double zeros of the radicand), the normalized difference recovering
-the interior value function, the half-sum recovering the Robin
-characteristic function, and the conjugation fix-up that turns zeros
-of g(lam) = D(lam) D(-lam) in the closed upper half-plane plus a sign
-sequence back into zeros of D.
+the interior value function, and the half-sum recovering the Robin
+characteristic function.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .errors import (
     BranchAmbiguity,
     InconsistentInput,
     LimitNotConverged,
-    MisalignedInput,
     OutOfDomain,
     ZeroAtOrigin,
 )
@@ -54,7 +51,6 @@ from .model import _csv_numbers, write_csv
 
 __all__ = [
     "ZeroSet",
-    "zeroset_from_spectrum",
     "read_zeroset_csv",
     "write_zeroset_csv",
     "HadamardModel",
@@ -63,7 +59,6 @@ __all__ = [
     "even_delta_minus",
     "delta0_from_pair",
     "two_spectra_robin",
-    "sign_disambiguate",
 ]
 
 # selector -> (sampling offset t0 from 2 n pi, weight w with
@@ -115,19 +110,6 @@ class ZeroSet:
 
     def count(self) -> int:
         return self.order_at_origin + int(sum(m for _, m in self.zeros))
-
-
-def zeroset_from_spectrum(sp) -> ZeroSet:
-    """Spectrum entries -> ZeroSet; entries within 1e-8 of 0 set the
-    origin order."""
-    zeros = []
-    s = 0
-    for e in sp.entries:
-        if abs(e.lam) <= 1e-8:
-            s += e.multiplicity
-        else:
-            zeros.append((e.lam, e.multiplicity))
-    return ZeroSet(zeros=zeros, order_at_origin=s)
 
 
 def write_zeroset_csv(path: str, zs: ZeroSet) -> None:
@@ -632,36 +614,3 @@ def two_spectra_robin(dplus, dminus, lam):
         return complex(out.reshape(-1)[0])
     return out
 
-
-def sign_disambiguate(g_zeros_upper, signs) -> ZeroSet:
-    """Zeros of D from zeros of g(lam) = D(lam) D(-lam) in the closed
-    upper half-plane plus the signs of Im of D's own zeros.
-
-    sign +1 or 0 keeps the listed zero, -1 replaces it by its
-    conjugate (for real data the zero set of D is closed under
-    lam -> -conj(lam), so the conjugate is the partner of g's mirror
-    zero that belongs to D).
-    """
-    if len(g_zeros_upper) != len(signs):
-        raise MisalignedInput(
-            f"{len(g_zeros_upper)} zeros vs {len(signs)} signs")
-    resolved = []
-    for xi, sg in zip(g_zeros_upper, signs):
-        if sg not in (-1, 0, 1):
-            raise MisalignedInput(f"sign {sg!r} not in {{-1, 0, +1}}")
-        xi = complex(xi)
-        if xi.imag < -1e-12:
-            raise InconsistentInput(
-                f"g-zero {xi} not in the closed upper half-plane")
-        resolved.append(xi if sg >= 0 else xi.conjugate())
-    order = 0
-    merged: list[tuple[complex, int]] = []
-    for z in sorted(resolved, key=lambda w: (abs(w), w.real, w.imag)):
-        if abs(z) <= 1e-12:
-            order += 1
-            continue
-        if merged and abs(z - merged[-1][0]) < 1e-9 * (1.0 + abs(z)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
-        else:
-            merged.append((z, 1))
-    return ZeroSet(zeros=merged, order_at_origin=order)

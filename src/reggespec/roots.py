@@ -20,12 +20,11 @@ from .charfn import (delta, delta_dot, delta_zero, delta_zero_dot,
 from .odecore import DEFAULT_STEPS
 from .errors import (
     BoundaryZero,
+    CountMismatch,
     InconsistentInput,
-    InterlacingViolation,
     MultiplicityCap,
     NewtonDivergence,
     Overflow,
-    SignViolation,
 )
 from .asympt import lattice_indices
 from .model import ReggeProblem, Sign, write_csv
@@ -56,6 +55,7 @@ _FLOOR_REL = 1e-13      # |f| below this share of the boundary scale: a zero
 _PERTURB = 1e-3         # rectangle growth per retry, in units of its extent
 _PERTURB_TRIES = 5      # retries before a boundary zero is reported
 _MIN_CELL_REL = 1e-6    # smallest cell, relative to max(1, diameter)
+_MULTIPLICITY_CAP = 4   # largest winding a smallest cell may report
 _NEWTON_MAX_ITER = 50
 _AXIS_SCAN = 2000       # scan points for imaginary_axis_zeros
 _AXIS_ROOT_TOL = 1e-9   # |Delta_+| a bracketed axis root must reach
@@ -328,20 +328,26 @@ def newton_refine(f, fprime, z0, mult=1, tol: float = 1e-12):
 # ---- zero search ----------------------------------------------------------
 
 def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
-               multiplicity_cap: int = 4, samples_per_unit: float = 1.0):
+               samples_per_unit: float = 1.0):
     """All zeros of f in rect as a list of (location, multiplicity, residual).
 
     Quadrisection by winding count, processed breadth-first so every
     generation of sub-rectangles shares f batches; isolating cells then
-    seed one vectorised Newton run.  Cells that stop separating below
+    seed one vectorised Newton run.  A Newton result counts only inside
+    its own cell (10 minimum cells of slack); otherwise the cell is
+    quadrisected and searched again.  Cells that stop separating below
     the minimum cell size, _MIN_CELL_REL * max(1, diameter of rect), are
-    treated as genuine multiple zeros up to multiplicity_cap.  Zeros
+    treated as genuine multiple zeros up to _MULTIPLICITY_CAP.  Zeros
     recovered twice through overlapping perturbed cells merge when
-    closer than 10 minimum cells (multiplicity by max, not sum).
+    closer than 10 minimum cells (multiplicity by max, not sum).  Raises
+    CountMismatch when the merged multiplicities do not sum to the
+    winding count of rect (argument principle; Delves and Lyness,
+    Math. Comp. 21, 1967).
     """
     min_cell = _MIN_CELL_REL * max(1.0, rect.diameter)
 
     pending = _windings_with_retry(f, [rect], samples_per_unit)
+    total = pending[0][1]
     isolating: list[tuple[Rectangle, int]] = []
     while pending:
         to_split: list[Rectangle] = []
@@ -349,10 +355,10 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
             if count == 0:
                 continue
             if count == 1 or cell.diameter <= min_cell:
-                if count > multiplicity_cap:
+                if count > _MULTIPLICITY_CAP:
                     raise MultiplicityCap(
                         f"winding {count} exceeds multiplicity cap "
-                        f"{multiplicity_cap} in cell around {cell.center}")
+                        f"{_MULTIPLICITY_CAP} in cell around {cell.center}")
                 isolating.append((cell, count))
             else:
                 to_split.extend(cell.quadrisect())
@@ -367,8 +373,7 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
         z, res, ok = newton_refine(f, fprime, z0, mult=counts, tol=tol)
         retry: list[tuple[Rectangle, int]] = []
         for i, (cell, m) in enumerate(isolating):
-            margin = 0.05 * cell.diameter + 10 * min_cell
-            if ok[i] and cell.contains(complex(z[i]), margin=margin):
+            if ok[i] and cell.contains(complex(z[i]), margin=10 * min_cell):
                 found.append((complex(z[i]), int(m), float(res[i])))
             elif cell.diameter > min_cell:
                 subs = _windings_with_retry(f, cell.quadrisect(),
@@ -391,6 +396,9 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
                 break
         else:
             merged.append((z, m, r))
+    count = sum(m for _, m, _ in merged)
+    if count != total:
+        raise CountMismatch(f"count {count} != winding {total}")
     return merged
 
 
@@ -519,7 +527,7 @@ class InterlaceReport:
     violations: list[str] = field(default_factory=list)
 
 
-def interlace_and_signs(p: ReggeProblem, taus, strict: bool = False,
+def interlace_and_signs(p: ReggeProblem, taus,
                         nsteps: int | None = None) -> InterlaceReport:
     """Check the real-data sign and interlacing predictions on i R_-.
 
@@ -554,11 +562,6 @@ def interlace_and_signs(p: ReggeProblem, taus, strict: bool = False,
                 f"interlacing: {count} zeros of Delta_0 in "
                 f"({lo:.6f}, {hi:.6f}), expected 1")
     rep.ok = not rep.violations
-    if strict and not rep.ok:
-        first = rep.violations[0]
-        if first.startswith("sign"):
-            raise SignViolation(first)
-        raise InterlacingViolation(first)
     return rep
 
 

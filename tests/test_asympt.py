@@ -14,7 +14,6 @@ from reggespec.asympt import (
     lattice_indices,
     mu_k,
     phi1_eval,
-    phi1_zeros,
     predicted_lambda,
     recover_alphas,
     residual_tail,
@@ -89,37 +88,20 @@ def test_degenerate_couplings():
         mu_k(m, Sign.PLUS, 1)
 
 
-def test_phi1_zero_lattices():
-    # |sigma2| > |sigma1|: integer lattice, index -1 at the origin
-    for k in (-3, -1, 1, 2, 5):
-        z = phi1_zeros(5.0, 7.0, 1.0, k)
-        assert abs(phi1_eval(5.0, 7.0, 1.0, z)) < 1e-10 * max(1.0, abs(z))
-    assert phi1_zeros(5.0, 7.0, 1.0, -1) == 0.0
-    assert phi1_zeros(5.0, 7.0, 1.0, 1) == pytest.approx(
-        0.5j * math.log(6.0), abs=1e-14)
-    with pytest.raises(ValueError):
-        phi1_zeros(5.0, 7.0, 1.0, 0)
-    # |sigma2| < |sigma1|: half-integer lattice, index 0 at the origin
-    assert phi1_zeros(5.0, 3.0, 1.0, 0) == 0.0
-    for k in (-2, 1, 4):
-        z = phi1_zeros(5.0, 3.0, 1.0, k)
-        assert abs(phi1_eval(5.0, 3.0, 1.0, z)) < 1e-10 * max(1.0, abs(z))
-    assert phi1_zeros(5.0, 3.0, 1.0, 1) == pytest.approx(
-        0.5 * math.pi + 1j * math.log(2.0), abs=1e-14)
-    with pytest.raises(DegenerateSigma):
-        phi1_zeros(2.0, 2.0, 1.0, 1)
-
-
 def test_phi1_matches_model_lattice():
-    p = worked_problem()
-    m = asymptotic_model(p)
-    s1p, s2p = p.alpha0 + p.alpha, 1.0 + p.alpha * p.alpha0
-    s1m, s2m = p.alpha0 - p.alpha, 1.0 - p.alpha * p.alpha0
-    for k in (-5, -1, 1, 4):
-        assert mu_k(m, Sign.PLUS, k) == pytest.approx(
-            phi1_zeros(s1p, s2p, p.a, k), abs=1e-13)
-        assert mu_k(m, Sign.MINUS, k) == pytest.approx(
-            phi1_zeros(s1m, s2m, p.a, k), abs=1e-13)
+    """phi1_eval vanishes at every mu_k: a second derivation of the
+    lattice, for the integer (case sign -1) and half-integer (+1) shapes."""
+    positive = ReggeProblem(a=1.0, alpha0=2.0, beta0=0.0, alpha=0.5, beta=0.0,
+                            potential=Potential.zero(1.0), real_data=True)
+    for p in (worked_problem(), positive):
+        m = asymptotic_model(p)
+        for sign in (Sign.PLUS, Sign.MINUS):
+            s1 = p.alpha0 + sign.s * p.alpha
+            s2 = 1.0 + sign.s * p.alpha * p.alpha0
+            for k in lattice_indices(m, -5, 4):
+                z = mu_k(m, sign, k)
+                bound = 1e-12 * max(1.0, abs(z))
+                assert abs(phi1_eval(s1, s2, p.a, z)) < bound
 
 
 def test_appendix_P_reduces_to_boundary_expression():

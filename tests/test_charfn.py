@@ -8,25 +8,17 @@ from reggespec import (
     Sign,
     delta,
     delta_dot,
-    delta_scaled,
     delta_zero,
     delta_zero_dot,
     energy_identity_residual,
     identity_residual,
     robin_charfn,
     robin_dot,
-    sample_charfn,
     wronskian_delta,
-    write_samples_csv,
 )
 from reggespec.charfn import energy_terms
 
-from conftest import (
-    closed_form_problem,
-    even_zero_problem,
-    grid_problem,
-    worked_problem,
-)
+from conftest import closed_form_problem, even_zero_problem, grid_problem
 
 
 def test_documented_point_values():
@@ -169,26 +161,3 @@ def test_delta_dot_matches_difference_quotient():
     fd = (delta(p, Sign.MINUS, lam + h) - delta(p, Sign.MINUS, lam - h)) \
         / (2.0 * h)
     assert abs(delta_dot(p, Sign.MINUS, lam)[0] - fd[0]) < 1e-6
-
-
-def test_scaled_and_plain_evaluations_agree():
-    p = worked_problem()
-    lam = np.array([0.0, 15.0 + 3.0j])
-    mant, sig = delta_scaled(p, Sign.PLUS, lam)
-    plain = delta(p, Sign.PLUS, lam)
-    assert np.abs(mant * np.exp(sig) - plain).max() < 1e-9 * np.abs(plain).max()
-
-
-def test_sample_csv_layout(tmp_path):
-    p = worked_problem()
-    lams = np.array([1.0, 2.0 + 1.0j])
-    samples = sample_charfn(p, Sign.PLUS, lams, with_derivative=True)
-    assert samples[0].derivative is not None
-    path = tmp_path / "samples.csv"
-    write_samples_csv(samples, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 3
-    assert lines[0].count(",") == 3
-    # 17 significant digits survive a parse round trip
-    v = float(lines[1].split(",")[2])
-    assert v == samples[0].value.real

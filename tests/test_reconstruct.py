@@ -10,7 +10,6 @@ from reggespec.charfn import delta, delta_zero, robin_charfn
 from reggespec.errors import (
     InconsistentInput,
     LimitNotConverged,
-    MisalignedInput,
     OutOfDomain,
     ZeroAtOrigin,
 )
@@ -21,12 +20,9 @@ from reggespec.reconstruct import (
     delta0_from_pair,
     hadamard_build,
     read_zeroset_csv,
-    sign_disambiguate,
     two_spectra_robin,
     write_zeroset_csv,
-    zeroset_from_spectrum,
 )
-from reggespec.roots import Rectangle, compute_spectrum
 
 from conftest import closed_form_problem, even_zero_problem, grid_problem
 
@@ -61,15 +57,6 @@ def test_zeroset_validation():
     # sorted by magnitude
     assert list(zs.values) == [-1.0, 3.0]
     assert list(zs.weights) == [1.0, 2.0]
-
-
-def test_zeroset_from_spectrum():
-    p = closed_form_problem()
-    sp = compute_spectrum(p, Sign.PLUS, Rectangle(-7.0, 7.0, -1.0, 2.0))
-    zs = zeroset_from_spectrum(sp)
-    assert zs.order_at_origin == 1
-    assert len(zs.zeros) == 5
-    assert abs(zs.values[0] - 0.5j * LN6) < 1e-8
 
 
 def test_zeroset_csv_round_trip(tmp_path):
@@ -237,25 +224,6 @@ def test_two_spectra_robin_equals_average():
     lam = np.array([0.3, 2.0 + 0.4j, -5.0])
     got = two_spectra_robin(dplus, dminus, lam)
     assert np.abs(got - robin_charfn(p, lam)).max() < 1e-12
-
-
-def test_sign_disambiguate():
-    g_upper = [2.0 + 1.0j, -2.0 + 1.0j, 3.0 + 0.5j, -3.0 + 0.5j, 0.0]
-    signs = [1, 1, -1, -1, 0]
-    zs = sign_disambiguate(g_upper, signs)
-    assert zs.order_at_origin == 1
-    got = set(zs.values)
-    assert got == {2.0 + 1.0j, -2.0 + 1.0j, 3.0 - 0.5j, -3.0 - 0.5j}
-    # repeated zero merges into a multiplicity
-    two = sign_disambiguate([1.0 + 1.0j, 1.0 + 1.0j], [1, 1])
-    assert len(two.zeros) == 1
-    assert two.zeros[0][1] == 2
-    with pytest.raises(MisalignedInput):
-        sign_disambiguate([1.0j], [1, -1])
-    with pytest.raises(MisalignedInput):
-        sign_disambiguate([1.0j], [5])
-    with pytest.raises(InconsistentInput):
-        sign_disambiguate([1.0 - 1.0j], [1])
 
 
 def test_hadamard_eval_keeps_array_shape():

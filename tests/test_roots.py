@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reggespec.asympt import asymptotic_model
-from reggespec.errors import InconsistentInput, MultiplicityCap, SignViolation
+from reggespec.errors import InconsistentInput, MultiplicityCap
 from reggespec.model import Sign
 from reggespec.roots import (
     Rectangle,
@@ -63,10 +63,13 @@ def test_find_zeros_sine():
 
 
 def test_find_zeros_honours_multiplicity_cap():
+    # a fifth-order zero off the quadrisection cuts exceeds the cap of 4
+    f = lambda z: (z - (0.3 + 0.1j)) ** 5
+    fp = lambda z: 5.0 * (z - (0.3 + 0.1j)) ** 4
+    with pytest.raises(MultiplicityCap):
+        find_zeros(f, fp, Rectangle(0.0, 1.0, -0.5, 0.5))
     g = lambda z: (z - 0.5) ** 2 * (z + 1.0)
     gp = lambda z: 2.0 * (z - 0.5) * (z + 1.0) + (z - 0.5) ** 2
-    with pytest.raises(MultiplicityCap):
-        find_zeros(g, gp, Rectangle(0.0, 1.0, -0.5, 0.5), multiplicity_cap=1)
     zs = find_zeros(g, gp, Rectangle(0.0, 1.0, -0.5, 0.5))
     assert len(zs) == 1
     z, m, _ = zs[0]
@@ -170,9 +173,7 @@ def test_interlace_flags_fabricated_zero():
     fake = taus + [taus[0] + 0.4]
     rep = interlace_and_signs(p, fake)
     assert not rep.ok
-    assert rep.violations
-    with pytest.raises(SignViolation):
-        interlace_and_signs(p, fake, strict=True)
+    assert rep.violations[0].startswith("sign")
 
 
 def test_spectrum_csv_round_trip(tmp_path):
