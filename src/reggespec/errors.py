@@ -55,7 +55,8 @@ class NoConvergence(NumericalError):
 
 
 class BoundaryZero(NumericalError):
-    """A zero lies on (or numerically on) a search rectangle boundary."""
+    """A zero lies on (or numerically on) the edge of the rectangle a
+    search was asked about, or on every cut the search tried in one cell."""
 
 
 class NewtonDivergence(NumericalError):

@@ -52,8 +52,8 @@ __all__ = [
 _PER_EDGE = 16          # initial boundary samples per edge, at least
 _MAX_ROUNDS = 16        # boundary refinement rounds before BoundaryZero
 _FLOOR_REL = 1e-13      # |f| below this share of the boundary scale: a zero
-_PERTURB = 1e-3         # rectangle growth per retry, in units of its extent
-_PERTURB_TRIES = 5      # retries before a boundary zero is reported
+# cut offsets, in units of the side, tried in turn when a zero meets a cut
+_CUTS = (0.0, -0.0381966, 0.0527864, -0.0901699, 0.1180340, -0.1458980)
 _MIN_CELL_REL = 1e-6    # smallest cell, relative to max(1, diameter)
 _MULTIPLICITY_CAP = 4   # largest winding a smallest cell may report
 _NEWTON_MAX_ITER = 50
@@ -87,9 +87,11 @@ class Rectangle:
         return (self.re_min - margin <= z.real <= self.re_max + margin
                 and self.im_min - margin <= z.imag <= self.im_max + margin)
 
-    def quadrisect(self) -> list["Rectangle"]:
-        cr = 0.5 * (self.re_min + self.re_max)
-        ci = 0.5 * (self.im_min + self.im_max)
+    def quadrisect(self, shift: float = 0.0) -> list["Rectangle"]:
+        """Four children that tile self, cut shift sides off the middle."""
+        w, h = self.re_max - self.re_min, self.im_max - self.im_min
+        cr = 0.5 * (self.re_min + self.re_max) + shift * w
+        ci = 0.5 * (self.im_min + self.im_max) + shift * h
         return [Rectangle(self.re_min, cr, self.im_min, ci),
                 Rectangle(cr, self.re_max, self.im_min, ci),
                 Rectangle(self.re_min, cr, ci, self.im_max),
@@ -252,28 +254,30 @@ def winding_count(f, rect: Rectangle) -> int:
     return res
 
 
-def _windings_with_retry(f, rects: list[Rectangle], samples_per_unit: float):
-    """Batched winding counts, expanding rectangles that hit BoundaryZero.
+def _partition(f, cells: list[Rectangle], samples_per_unit: float):
+    """Quadrisect every cell; [(child, winding count), ...].
 
-    Returns [(possibly expanded rect, count), ...] in input order.
+    The children of all cells are counted in one batch.  A cell with a
+    zero on one of its cuts is cut again at the next offset of _CUTS,
+    both cuts moving together, so the children always tile their parent.
     """
-    current = list(rects)
-    attempts = [0] * len(rects)
-    out: list = [None] * len(rects)
-    pending = list(range(len(rects)))
-    while pending:
-        res = _winding_multi(f, [current[i] for i in pending], samples_per_unit)
-        nxt = []
-        for i, r in zip(pending, res):
-            if isinstance(r, _BoundaryZeroMark):
-                if attempts[i] >= _PERTURB_TRIES:
-                    raise BoundaryZero(str(r))
-                attempts[i] += 1
-                current[i] = current[i].expanded(_PERTURB * attempts[i])
-                nxt.append(i)
+    out = []
+    for shift in _CUTS:
+        if not cells:
+            break
+        kids = [c.quadrisect(shift) for c in cells]
+        counts = _winding_multi(f, [k for ks in kids for k in ks],
+                                samples_per_unit)
+        retry = []
+        for i, (cell, ks) in enumerate(zip(cells, kids)):
+            cs = counts[4 * i:4 * i + 4]
+            if any(isinstance(c, _BoundaryZeroMark) for c in cs):
+                retry.append(cell)
             else:
-                out[i] = (current[i], r)
-        pending = nxt
+                out.extend(zip(ks, cs))
+        cells = retry
+    if cells:
+        raise BoundaryZero(f"a zero lies on every cut tried in {cells[0]}")
     return out
 
 
@@ -333,21 +337,22 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
 
     Quadrisection by winding count, processed breadth-first so every
     generation of sub-rectangles shares f batches; isolating cells then
-    seed one vectorised Newton run.  A Newton result counts only inside
-    its own cell (10 minimum cells of slack); otherwise the cell is
+    seed one vectorised Newton run.  The cells partition rect: a zero on
+    a cut moves the cut (see _partition), never a cell's edge.  A Newton
+    result counts only inside its own cell; otherwise the cell is
     quadrisected and searched again.  Cells that stop separating below
     the minimum cell size, _MIN_CELL_REL * max(1, diameter of rect), are
-    treated as genuine multiple zeros up to _MULTIPLICITY_CAP.  Zeros
-    recovered twice through overlapping perturbed cells merge when
-    closer than 10 minimum cells (multiplicity by max, not sum).  Raises
-    CountMismatch when the merged multiplicities do not sum to the
-    winding count of rect (argument principle; Delves and Lyness,
-    Math. Comp. 21, 1967).
+    treated as genuine multiple zeros up to _MULTIPLICITY_CAP.  Raises
+    BoundaryZero when a zero lies on the edge of rect, and CountMismatch
+    when the multiplicities do not sum to the winding count of rect
+    (argument principle; Delves and Lyness, Math. Comp. 21, 1967).
     """
     min_cell = _MIN_CELL_REL * max(1.0, rect.diameter)
 
-    pending = _windings_with_retry(f, [rect], samples_per_unit)
-    total = pending[0][1]
+    total = _winding_multi(f, [rect], samples_per_unit)[0]
+    if isinstance(total, _BoundaryZeroMark):
+        raise BoundaryZero(f"a zero lies on the edge of {rect}; move an edge")
+    pending = [(rect, total)]
     isolating: list[tuple[Rectangle, int]] = []
     while pending:
         to_split: list[Rectangle] = []
@@ -361,9 +366,8 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
                         f"{_MULTIPLICITY_CAP} in cell around {cell.center}")
                 isolating.append((cell, count))
             else:
-                to_split.extend(cell.quadrisect())
-        pending = (_windings_with_retry(f, to_split, samples_per_unit)
-                   if to_split else [])
+                to_split.append(cell)
+        pending = _partition(f, to_split, samples_per_unit)
 
     found: list[tuple[complex, int, float]] = []
     while isolating:
@@ -371,35 +375,24 @@ def find_zeros(f, fprime, rect: Rectangle, tol: float = 1e-12,
         counts = np.array([m for _, m in isolating])
         z0 = np.array([c.center for c in cells], dtype=complex)
         z, res, ok = newton_refine(f, fprime, z0, mult=counts, tol=tol)
-        retry: list[tuple[Rectangle, int]] = []
+        rejected: list[Rectangle] = []
         for i, (cell, m) in enumerate(isolating):
-            if ok[i] and cell.contains(complex(z[i]), margin=10 * min_cell):
+            if ok[i] and cell.contains(complex(z[i])):
                 found.append((complex(z[i]), int(m), float(res[i])))
             elif cell.diameter > min_cell:
-                subs = _windings_with_retry(f, cell.quadrisect(),
-                                            samples_per_unit)
-                retry.extend((c, n) for c, n in subs if n > 0)
+                rejected.append(cell)
             else:
                 raise NewtonDivergence(
                     f"Newton failed from {cell.center} "
                     f"(residual {res[i]:.3e}, landed at {z[i]})")
-        isolating = retry
+        isolating = [(c, n) for c, n in
+                     _partition(f, rejected, samples_per_unit) if n > 0]
 
-    # cluster against every accepted zero, not just sort-neighbours: a
-    # zero on a quadrisection cut reappears in two expanded siblings
-    merged: list[tuple[complex, int, float]] = []
-    for z, m, r in sorted(found, key=lambda t: (t[0].real, t[0].imag)):
-        for j, (zp, mp, rp) in enumerate(merged):
-            if abs(z - zp) < 10 * min_cell:
-                keep = (z, r) if r < rp else (zp, rp)
-                merged[j] = (keep[0], max(mp, m), keep[1])
-                break
-        else:
-            merged.append((z, m, r))
-    count = sum(m for _, m, _ in merged)
+    found.sort(key=lambda t: (t[0].real, t[0].imag))
+    count = sum(m for _, m, _ in found)
     if count != total:
         raise CountMismatch(f"count {count} != winding {total}")
-    return merged
+    return found
 
 
 def locate_zeros(f, fprime, rect: Rectangle, a: float, tol: float = 1e-12,

@@ -255,6 +255,19 @@ def test_spectrum_overflowing_search_mesh_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_zero_on_rect_edge_exits_3(tmp_path, capsys):
+    """The worked problem has eigenvalues on iR: a --rect edge on Re = 0
+    is refused rather than searched by a grown rectangle."""
+    cfg = _cfg(tmp_path, WORKED)
+    out = tmp_path / "edge.csv"
+    rc = main(["spectrum", "--config", cfg, "--rect=0,7,-2,2",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "edge of Rectangle(re_min=0.0, re_max=7.0, im_min=-2.0" in err
+    assert not out.exists()
+
+
 def test_spectrum_output_is_deterministic(tmp_path):
     cfg = _cfg(tmp_path, ZERO_POT)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

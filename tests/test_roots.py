@@ -2,14 +2,16 @@
 
 import csv
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from reggespec.asympt import asymptotic_model
-from reggespec.errors import InconsistentInput, MultiplicityCap
+from reggespec.errors import BoundaryZero, InconsistentInput, MultiplicityCap
 from reggespec.model import Sign
 from reggespec.roots import (
+    _CUTS,
     Rectangle,
     compute_spectrum,
     find_zeros,
@@ -75,6 +77,66 @@ def test_find_zeros_honours_multiplicity_cap():
     z, m, _ = zs[0]
     assert m == 2
     assert abs(z - 0.5) < 1e-5
+
+
+@pytest.mark.parametrize("shift", _CUTS)
+def test_quadrisect_tiles_parent(shift):
+    r = Rectangle(-1.0, 3.0, 0.1, 0.7)
+    sw, se, nw, ne = r.quadrisect(shift)
+    # siblings share their cuts as equal floats; outer edges are r's
+    assert sw.re_max == se.re_min == nw.re_max == ne.re_min
+    assert sw.im_max == nw.im_min == se.im_max == ne.im_min
+    assert sw.re_min == nw.re_min == r.re_min
+    assert se.re_max == ne.re_max == r.re_max
+    assert sw.im_min == se.im_min == r.im_min
+    assert nw.im_max == ne.im_max == r.im_max
+    assert sw.re_min < sw.re_max < r.re_max
+    assert sw.im_min < sw.im_max < r.im_max
+
+
+def test_quadrisect_default_cut_is_the_midpoint():
+    # lo + 0.5 * (hi - lo) differs in the last bit on both axes here
+    r = Rectangle(0.1, 0.7, -1.3, 2.9)
+    assert r.quadrisect(0.0) == r.quadrisect()
+    sw = r.quadrisect(0.0)[0]
+    assert sw.re_max == 0.5 * (0.1 + 0.7)
+    assert sw.im_max == 0.5 * (-1.3 + 2.9)
+
+
+def test_no_overlapping_cells_in_src():
+    """The search partitions; nothing under src grows a rectangle."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    callers = [f for f in src.rglob("*.py") if ".expanded(" in f.read_text()]
+    assert callers == []
+
+
+def test_find_zeros_neighbour_zero_near_cut():
+    """Newton from the left cell lands on z2, just right of the cut: the
+    cell is searched again instead, and both zeros are returned."""
+    z1, z2 = -0.95 + 0.95j, 1e-5 + 0.5j
+    f = lambda z: (z - z1) * (z - z2)
+    fp = lambda z: 2.0 * z - z1 - z2
+    zs = find_zeros(f, fp, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    assert len(zs) == 2
+    assert abs(zs[0][0] - z1) < 1e-12 and abs(zs[1][0] - z2) < 1e-12
+
+
+def test_find_zeros_refuses_zero_on_rect_edge():
+    with pytest.raises(BoundaryZero, match="move an edge"):
+        find_zeros(np.sin, np.cos, Rectangle(0.0, 4.0, -1.0, 1.0))
+
+
+def test_find_zeros_refuses_zero_on_every_cut():
+    """One zero on each cut the search may try in the first cell; with
+    the last one gone, the last offset separates the rest."""
+    zs = [s * (2.0 + 2.0j) for s in _CUTS]
+    f = lambda z: np.prod([z - w for w in zs], axis=0)
+    fp = lambda z: sum(np.prod([z - w for w in zs if w != v], axis=0)
+                       for v in zs)
+    with pytest.raises(BoundaryZero, match="every cut"):
+        find_zeros(f, fp, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    zs.pop()
+    assert len(find_zeros(f, fp, Rectangle(-1.0, 1.0, -1.0, 1.0))) == 5
 
 
 def test_newton_refine_simple_and_multiple():

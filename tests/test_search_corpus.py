@@ -73,6 +73,33 @@ def test_even_interior_count():
         assert sum(m for _, m, _ in zs) == 7
 
 
+def test_lattice_row_window_count():
+    """A zero on the first cut of a window centred on the `+` lattice
+    row: the cut moves, and the zero is counted once."""
+    p = ReggeProblem(a=1.0, alpha0=2.0, beta0=0.4, alpha=1.5, beta=-0.8,
+                     potential=Potential.zero(1.0), real_data=True)
+    row = 1.3540251005511053
+    rect = Rectangle(100.0, 120.0, row - 1.5, row + 1.5)
+    spec = compute_spectrum(p, Sign.PLUS, rect)
+    assert _count(spec) == _reference(p, Sign.PLUS, rect) == 7
+
+
+def test_near_double_pair_separates():
+    """Two zeros about 8e-5 apart, near the double zero at lam* of
+    q = 0, alpha0 = 2, beta0 = 0, alpha = 3 (ROADMAP S)."""
+    p = ReggeProblem(a=1.0, alpha0=2.0, beta0=0.0, alpha=3.0,
+                     beta=3.71987217 - 4.37196771j,
+                     potential=Potential.zero(1.0))
+    star = 2.37982553 + 1.36910428j
+    rect = Rectangle(star.real - 2.3, star.real + 1.7,
+                     star.imag - 1.1, star.imag + 0.9)
+    spec = compute_spectrum(p, Sign.PLUS, rect)
+    assert len(spec.entries) == _reference(p, Sign.PLUS, rect) == 3
+    lam = spec.lambdas()
+    gaps = [abs(u - v) for i, u in enumerate(lam) for v in lam[i + 1:]]
+    assert 1e-5 < min(gaps) < 1e-3
+
+
 def _random_case(rng, i: int):
     """Problem i of the random set, drawn in a fixed order: a; q on 17
     cubic nodes (odd i complex, even i real with real_data); alpha0,
