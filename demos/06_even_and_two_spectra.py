@@ -16,11 +16,8 @@ import numpy as np
 from reggespec import Potential, ReggeProblem
 from reggespec.charfn import delta, delta_zero, delta_zero_dot, robin_charfn
 from reggespec.model import Sign
-from reggespec.reconstruct import (
-    delta0_from_pair,
-    even_delta_minus,
-    two_spectra_robin,
-)
+from reggespec.reconstruct import (delta0_from_pair, even_minus,
+                                   two_spectra_robin)
 from reggespec.roots import Rectangle, find_zeros
 
 x = np.linspace(0.0, 1.0, 129)
@@ -29,11 +26,11 @@ p = ReggeProblem(a=1.0, alpha0=2.0, beta0=1.0, alpha=2.0, beta=1.0,
                                           "cubic"),
                  real_data=True)
 
-dplus = lambda lam: delta(p, Sign.PLUS, lam)
-ev = even_delta_minus(dplus, p.alpha, np.linspace(0.0, 4 * math.pi, 257))
+# even_minus checks that the problem is even, then tracks the branch
+path = np.linspace(0.0, 4 * math.pi, 257)
+ev = even_minus(p, path)
 
 # the tracked branch against the direct minus function
-path = np.linspace(0.0, 4 * math.pi, 257)
 direct = delta(p, Sign.MINUS, path.astype(complex))
 rel = np.abs(ev.values - direct) / np.maximum(1.0, np.abs(direct))
 print(f"recovered Delta_minus on [0, 4 pi], relative error "
@@ -42,8 +39,7 @@ print(f"recovered Delta_minus on [0, 4 pi], relative error "
 # q = 0 variant has a hand value: Delta_minus(pi) = -2
 p0 = ReggeProblem(a=1.0, alpha0=2.0, beta0=1.0, alpha=2.0, beta=1.0,
                   potential=Potential.zero(1.0), real_data=True)
-ev0 = even_delta_minus(lambda lam: delta(p0, Sign.PLUS, lam), 2.0,
-                       np.linspace(0.0, 4.0, 81))
+ev0 = even_minus(p0, np.linspace(0.0, 4.0, 81))
 print(f"zero-potential point value at pi: {ev0(math.pi):.10f}  (exact -2)")
 
 # interior spectrum through the pair: (D+ - D-)/(2 i alpha lam) is the
@@ -53,6 +49,7 @@ zeros = find_zeros(lambda z: delta_zero(p, z),
                    lambda z: delta_zero_dot(p, z),
                    Rectangle(-12.0, 12.0, -1.5, 1.5))
 locs = np.array([z for z, _, _ in zeros])
+dplus = lambda lam: delta(p, Sign.PLUS, lam)
 pair_vals = np.atleast_1d(delta0_from_pair(dplus, ev, p.alpha, locs))
 print(f"{len(locs)} interior eigenvalues; pair-route values there: "
       f"max {np.abs(pair_vals).max():.2e}")

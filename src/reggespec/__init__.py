@@ -84,11 +84,13 @@ from .partialinv import (
     DeviationReport,
     F_mismatch,
     IndicatorEstimate,
+    PartialDiagnostics,
     critical_diagnostics,
     default_radius_schedule,
     density_check,
     f_mismatch_logabs,
     indicator_estimate,
+    partial_diagnostics,
     refine_subset,
     sparse_subset,
     weighted_deviation,
@@ -100,6 +102,7 @@ from .reconstruct import (
     ZeroSet,
     delta0_from_pair,
     even_delta_minus,
+    even_minus,
     hadamard_build,
     read_zeroset_csv,
     two_spectra_robin,

@@ -1,5 +1,8 @@
 """Command-line front end: parse configs, run pipelines, emit CSV/SVG.
 
+Each subcommand parses its flags (only the shared ones it reads), calls
+one library entry, then writes its files and prints.
+
 Exit codes: 0 success (all checks passed), 1 a verification or
 comparison failed, 2 config/usage error (out-of-range flags included:
 --nsteps >= 8, --count, --kmax >= 1, --samples >= 2, --trunc >= 32,
@@ -28,11 +31,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    InconsistentInput,
-    NumericalError,
-    ValidationError,
-)
+from .errors import InconsistentInput, NumericalError, ValidationError
 from .model import (ReggeProblem, Sign, _csv_numbers, atomic_write_text,
                     load_problem, write_csv)
 from .charfn import delta, energy_terms, identity_terms, wronskian_delta
@@ -56,21 +55,10 @@ from .asympt import (
     residual_tail,
     write_residual_tail_csv,
 )
-from .reconstruct import (
-    ZeroSet,
-    even_delta_minus,
-    hadamard_build,
-    read_zeroset_csv,
-)
+from .reconstruct import even_minus, hadamard_build, read_zeroset_csv
 from .partialinv import (
-    critical_diagnostics,
     default_radius_schedule,
-    density_check,
-    f_mismatch_logabs,
-    indicator_estimate,
-    refine_subset,
-    sparse_subset,
-    weighted_deviation,
+    partial_diagnostics,
     write_critical_csv,
 )
 
@@ -517,30 +505,11 @@ def _recon_hadamard(args) -> int:
     return 0
 
 
-def _even_potential(p: ReggeProblem) -> bool:
-    q = p.potential
-    if q.kind in ("zero", "constant"):
-        return True
-    s = q.samples
-    scale = 1.0 + float(np.abs(s).max())
-    return bool(np.abs(s - s[::-1]).max() <= 1e-10 * scale)
-
-
 def _recon_even(args) -> int:
     p = _load(args)
-    if abs(p.alpha0 - p.alpha) > 1e-12 or abs(p.beta0 - p.beta) > 1e-12:
-        raise ValidationError(
-            "even mode needs matching ends: alpha0 = alpha, beta0 = beta")
-    if not _even_potential(p):
-        raise ValidationError("even mode needs q(x) = q(a - x)")
     tol = _tol(args, 1e-6)
     path = np.linspace(0.0, args.lam_max, args.samples)
-
-    def dplus(z):
-        return delta(p, Sign.PLUS, z, nsteps=args.nsteps)
-
-    ev = even_delta_minus(dplus, p.alpha, path)
-    recon = ev.values
+    recon = even_minus(p, path, nsteps=args.nsteps).values
     direct = delta(p, Sign.MINUS, path.astype(complex), nsteps=args.nsteps)
     err = np.abs(recon - direct)
     rel = err / np.maximum(1.0, np.abs(direct))
@@ -598,68 +567,24 @@ def cmd_partial(args) -> int:
             raise ValidationError("--b-plus and --b-minus go together")
         b_plus, b_minus = args.b_plus, args.b_minus
     else:
-        split = _need(args.split, "--split")
-        b_plus = b_minus = split
-    b = 0.5 * (b_plus + b_minus)
+        b_plus = b_minus = _need(args.split, "--split")
     out = _need(args.out, "--out")
-
-    model = asymptotic_model(p1)
-    a = model.a
     kmax = args.kmax if args.kmax is not None else 60
     radii = (_parse_floats(args.radii, "--radii") if args.radii is not None
-             else default_radius_schedule(a))
-    tsched = _parse_floats(args.tsched, "--tsched")
+             else default_radius_schedule(p1.a))
     angles = np.linspace(0.0, 2.0 * math.pi, args.angles, endpoint=False)
-
-    def logF(z):
-        return f_mismatch_logabs(p1, p2, b, z, nsteps=args.nsteps)
-
-    # every report is assembled before anything is written, so a failure
-    # below leaves no files behind
-    ind = indicator_estimate(logF, angles=angles, radii=radii, logabs=True)
-    with np.errstate(invalid="ignore"):
-        scaled = ind.logmag - np.log(radii)[None, :] \
-            - 2.0 * b * radii[None, :] * np.abs(np.sin(angles))[:, None]
-    # math.exp per radius: np.exp rounds some last digits differently
-    growth = [(r, ind.logmag[:, j].max(), math.exp(scaled[:, j].max()))
-              for j, r in enumerate(radii)]
-    bounds = [2.0 * b * abs(math.sin(th)) for th in ind.angles]
-    excess = max([-math.inf, *(h - bd for h, bd in zip(ind.h, bounds))])
-
-    sp, notes_p = refine_subset(p1, model, Sign.PLUS, kmax, args.nsteps)
-    sm, notes_m = refine_subset(p1, model, Sign.MINUS, kmax, args.nsteps)
-    if not sp or not sm:
-        raise NumericalError(
-            "eigenvalue subsets came back empty; widen --kmax")
-
-    # probe radii must stay inside the computed set, otherwise the
-    # counting ratio reports the truncation instead of the density
-    reach = min(max(abs(z) for _, z in sp), max(abs(z) for _, z in sm))
-    dens_radii = radii[radii <= reach]
-    clipped = len(dens_radii) < len(radii)
-    if len(dens_radii) < 2:
-        dens_radii = reach * np.array([0.125, 0.25, 0.5, 1.0]) * 0.98
-    dens = {}
-    for name, pairs in (("plus", sp), ("minus", sm)):
-        zs = ZeroSet(zeros=[(z, 1) for _, z in pairs], order_at_origin=0)
-        dens[name] = density_check(zs, a, dens_radii, window=args.window)
-
-    ssp, snotes_p = sparse_subset(model, Sign.PLUS, b_plus, sp)
-    ssm, snotes_m = sparse_subset(model, Sign.MINUS, b_minus, sm)
-    if not ssp or not ssm:
-        raise NumericalError(
-            "rescaled-lattice subsets came back empty; widen --kmax "
-            "or enlarge the split")
-    dev = weighted_deviation(ssp, ssm, b_plus, b_minus, model)
-
-    diag = critical_diagnostics(p1, p2, b_plus, b_minus, (ssp, ssm), tsched,
-                                nsteps=args.nsteps)
-
+    # every report is built before anything is written, so a failure
+    # leaves no files behind
+    d = partial_diagnostics(p1, p2, b_plus, b_minus, kmax, radii,
+                            _parse_floats(args.tsched, "--tsched"), angles,
+                            args.window, nsteps=args.nsteps)
+    ind, dev = d.indicator, d.deviation
+    dens_p, dens_m = d.density
     reports = {
-        "growth": ("r,sup_logabs_F,scaled_sup", growth),
-        "indicator": ("theta,h,bound", zip(ind.angles, ind.h, bounds)),
-        "density": ("r,ratio_plus,ratio_minus", zip(
-            dens_radii, dens["plus"].ratios, dens["minus"].ratios)),
+        "growth": ("r,sup_logabs_F,scaled_sup", d.growth),
+        "indicator": ("theta,h,bound", zip(ind.angles, ind.h, d.bounds)),
+        "density": ("r,ratio_plus,ratio_minus",
+                    zip(dens_p.radii, dens_p.ratios, dens_m.ratios)),
         "deviation": ("total,plus_sum,minus_sum,plus_jmin,plus_jmax,"
                       "minus_jmin,minus_jmax",
                       [(dev.total, dev.plus_sum, dev.minus_sum,
@@ -667,28 +592,29 @@ def cmd_partial(args) -> int:
     }
     for name, (header, rows) in reports.items():
         write_csv(f"{out}_{name}.csv", header, rows)
-    write_critical_csv(f"{out}_e0.csv", diag)
+    write_critical_csv(f"{out}_e0.csv", d.critical)
 
-    print(f"partial diagnostics: a {_g(a)}, split b {_g(b)} "
+    excess = max([-math.inf, *(h - bd for h, bd in zip(ind.h, d.bounds))])
+    print(f"partial diagnostics: a {_g(p1.a)}, split b {_g(d.critical.b)} "
           f"(b_plus {_g(b_plus)}, b_minus {_g(b_minus)})")
+    (sp, sm), (ssp, ssm) = d.subsets, d.sparse
     print(f"subsets: plus {len(sp)} eigenvalues, minus {len(sm)} "
           f"(|j| <= {kmax}); rescaled-lattice subsets {len(ssp)} / "
           f"{len(ssm)}")
-    for n in notes_p + notes_m + snotes_p + snotes_m:
+    for n in d.notes:
         print(f"  note: {n}")
-    if clipped:
+    if d.clipped:
         print(f"  note: density radii clipped to the computed reach "
-              f"{_g(reach)}")
+              f"{_g(d.reach)}")
     print(f"indicator: max excess over 2 b |sin theta| = {_g(excess)}")
-    print(f"density: plus "
-          f"{'stabilized' if dens['plus'].stabilized else 'not stabilized'} "
-          f"(last ratio {_g(dens['plus'].ratios[-1])}), minus "
-          f"{'stabilized' if dens['minus'].stabilized else 'not stabilized'} "
-          f"(last ratio {_g(dens['minus'].ratios[-1])})")
+    print("density: " + ", ".join(
+        f"{name} {'stabilized' if r.stabilized else 'not stabilized'} "
+        f"(last ratio {_g(r.ratios[-1])})"
+        for name, r in zip(("plus", "minus"), d.density)))
     print(f"weighted deviation total {_g(dev.total)}")
-    e0 = np.abs(diag.E0)
+    e0 = np.abs(d.critical.E0)
     print(f"E0 on the t schedule: {_g(e0[0])} -> {_g(e0[-1])}, "
-          f"{'decreasing' if diag.decreasing else 'not decreasing'}")
+          f"{'decreasing' if d.critical.decreasing else 'not decreasing'}")
     for name in (*reports, "e0"):
         print(f"wrote {out}_{name}.csv")
     return 0
@@ -762,14 +688,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="problem config JSON")
     common.add_argument("--out", help="output path (prefix for partial)")
-    common.add_argument("--tol", type=_positive_float,
-                        help="tolerance override (> 0)")
-    common.add_argument("--rect", metavar="A,B,C,D",
-                        help="search rectangle re_min,re_max,im_min,im_max")
-    common.add_argument("--kmax", type=_int_at_least(1),
-                        help="lattice index bound (>= 1; synthesizes --rect)")
     common.add_argument("--nsteps", type=_int_at_least(8),
                         help="integrator mesh override (>= 8)")
+    # each subcommand takes only the shared flags it reads
+    tol, rect, kmax = (argparse.ArgumentParser(add_help=False)
+                       for _ in range(3))
+    tol.add_argument("--tol", type=_positive_float,
+                     help="tolerance override (> 0)")
+    rect.add_argument("--rect", metavar="A,B,C,D",
+                      help="search rectangle re_min,re_max,im_min,im_max")
+    kmax.add_argument("--kmax", type=_int_at_least(1),
+                      help="lattice index bound (>= 1; synthesizes --rect)")
 
     ap = argparse.ArgumentParser(
         prog="reggespec",
@@ -778,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "dependent boundary conditions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", parents=[common],
+    sp = sub.add_parser("spectrum", parents=[common, tol, rect, kmax],
                         help="eigenvalues in a rectangle, as CSV")
     sp.add_argument("--sign", choices=("plus", "minus", "interior"),
                     default="plus")
@@ -789,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mark the leading lattice in the SVG")
     sp.set_defaults(func=cmd_spectrum)
 
-    vf = sub.add_parser("verify", parents=[common],
+    vf = sub.add_parser("verify", parents=[common, tol, rect, kmax],
                         help="identity and structure checks")
     vf.add_argument("--which", required=True,
                     choices=("identity", "energy", "wronskian", "symmetry",
@@ -805,14 +734,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scan depth for the interlacing check (> 0)")
     vf.set_defaults(func=cmd_verify)
 
-    asym = sub.add_parser("asympt", parents=[common],
+    asym = sub.add_parser("asympt", parents=[common, rect, kmax],
                           help="asymptotic constants and residual tail")
     asym.add_argument("--sign", choices=("plus", "minus"), default="plus")
     asym.add_argument("--min-k", type=int, default=5,
                       help="smallest |k| kept in the residual tail")
     asym.set_defaults(func=cmd_asympt)
 
-    rc = sub.add_parser("reconstruct", parents=[common],
+    rc = sub.add_parser("reconstruct", parents=[common, tol, rect],
                         help="rebuild characteristic functions")
     rc.add_argument("--mode", required=True,
                     choices=("hadamard", "even", "two-spectra"))
@@ -832,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comparison points (even mode, >= 2)")
     rc.set_defaults(func=cmd_reconstruct)
 
-    pt = sub.add_parser("partial", parents=[common],
+    pt = sub.add_parser("partial", parents=[common, kmax],
                         help="mismatch diagnostics for two problems "
                              "sharing the interval")
     pt.add_argument("--config2", help="second problem config JSON")
@@ -851,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative window for the density check (> 0)")
     pt.set_defaults(func=cmd_partial)
 
-    pl = sub.add_parser("plot", parents=[common],
+    pl = sub.add_parser("plot", parents=[common, rect, kmax],
                         help="SVG scatter of a spectrum or CSV")
     pl.add_argument("--in", dest="infile", help="CSV with re/im columns")
     pl.add_argument("--sign", choices=("plus", "minus"), default="plus")

@@ -20,7 +20,7 @@ import enum
 import json
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -198,15 +198,6 @@ class ReggeProblem:
     @property
     def q(self) -> Potential:
         return self.potential
-
-    def reflected(self) -> "ReggeProblem":
-        """Problem with the reflected potential q(a - x).
-
-        The zero function Delta_0 of the original problem is the
-        characteristic function of the reflected problem under the
-        Dirichlet condition at 0 and the (alpha0, beta0) coupling at a.
-        """
-        return replace(self, potential=self.potential.reflect())
 
 
 def validate_problem(p: ReggeProblem) -> None:

@@ -30,6 +30,7 @@ from .charfn import delta, delta_dot
 from .errors import (
     InconsistentInput,
     MisalignedInput,
+    NumericalError,
     OutOfDomain,
     Overflow,
     TruncationDominates,
@@ -54,6 +55,8 @@ __all__ = [
     "CriticalDiagnostics",
     "critical_diagnostics",
     "write_critical_csv",
+    "PartialDiagnostics",
+    "partial_diagnostics",
 ]
 
 
@@ -323,8 +326,6 @@ class CriticalDiagnostics:
     Phi: np.ndarray
     Phi0: np.ndarray
     E0: np.ndarray
-    zeta_plus: np.ndarray
-    zeta_minus: np.ndarray
 
     @property
     def b(self) -> float:
@@ -356,7 +357,7 @@ def critical_diagnostics(p1: ReggeProblem, p2: ReggeProblem,
     b = 0.5 * (b_plus + b_minus)
     if not 0.0 < b < a:
         raise OutOfDomain(f"split point b = {b} outside (0, {a})")
-    model = asymptotic_model(p1)
+    asymptotic_model(p1)        # raises DegenerateCase
     subset_plus, subset_minus = subsets
     lam_p = np.array([complex(lam) for _, lam in subset_plus])
     lam_m = np.array([complex(lam) for _, lam in subset_minus])
@@ -393,15 +394,8 @@ def critical_diagnostics(p1: ReggeProblem, p2: ReggeProblem,
     wm = b_minus * lam / a
     Phi0 = g(Sign.PLUS, wp) * g(Sign.PLUS, -wp) \
         * g(Sign.MINUS, wm) * g(Sign.MINUS, -wm)
-    E0 = G / Phi
-
-    js_p = sorted(int(j) for j, _ in subset_plus)
-    js_m = sorted(int(j) for j, _ in subset_minus)
-    zp = np.array([a * model.mu(Sign.PLUS, j) / b_plus for j in js_p])
-    zm = np.array([a * model.mu(Sign.MINUS, j) / b_minus for j in js_m])
     return CriticalDiagnostics(b_plus=float(b_plus), b_minus=float(b_minus),
-                               t=t, G=G, Phi=Phi, Phi0=Phi0, E0=E0,
-                               zeta_plus=zp, zeta_minus=zm)
+                               t=t, G=G, Phi=Phi, Phi0=Phi0, E0=G / Phi)
 
 
 def write_critical_csv(path: str, diag: CriticalDiagnostics) -> None:
@@ -410,3 +404,79 @@ def write_critical_csv(path: str, diag: CriticalDiagnostics) -> None:
     write_csv(path, "t,G_abs,Phi_abs,Phi0_abs,E0_abs",
               ((tv, abs(diag.G[i]), abs(diag.Phi[i]), abs(diag.Phi0[i]),
                 abs(diag.E0[i])) for i, tv in enumerate(diag.t)))
+
+
+# ---- the whole partial-data pipeline ----------------------------------------
+
+@dataclass(frozen=True)
+class PartialDiagnostics:
+    """Every partial-data report for one pair of problems.
+
+    subsets, sparse and density are (plus, minus) pairs; notes runs plus,
+    minus, sparse plus, sparse minus.  density uses the radii up to reach
+    (the lesser subset's largest |lambda|); clipped: some were dropped.
+    """
+
+    indicator: IndicatorEstimate
+    growth: list
+    bounds: list
+    subsets: tuple
+    sparse: tuple
+    notes: list
+    density: tuple
+    reach: float
+    clipped: bool
+    deviation: DeviationReport
+    critical: CriticalDiagnostics
+
+
+def partial_diagnostics(p1: ReggeProblem, p2: ReggeProblem, b_plus: float,
+                        b_minus: float, kmax: int, radii, t_schedule, angles,
+                        window: float,
+                        nsteps: int | None = None) -> PartialDiagnostics:
+    """The reports for the pair split at b = (b_plus + b_minus)/2, over
+    the eigenvalues of p1 with |j| <= kmax.  Raises NumericalError when
+    a subset comes back empty."""
+    model = asymptotic_model(p1)
+    b = 0.5 * (b_plus + b_minus)
+    radii = np.asarray(radii, dtype=float)
+    ind = indicator_estimate(
+        lambda z: f_mismatch_logabs(p1, p2, b, z, nsteps=nsteps),
+        angles=angles, radii=radii, logabs=True)
+    with np.errstate(invalid="ignore"):
+        scaled = ind.logmag - np.log(radii)[None, :] \
+            - 2.0 * b * radii[None, :] * np.abs(np.sin(ind.angles))[:, None]
+    # math.exp per radius: np.exp rounds some last digits differently
+    growth = [(r, ind.logmag[:, j].max(), math.exp(scaled[:, j].max()))
+              for j, r in enumerate(radii)]
+    bounds = [2.0 * b * abs(math.sin(th)) for th in ind.angles]
+
+    sp, notes_p = refine_subset(p1, model, Sign.PLUS, kmax, nsteps)
+    sm, notes_m = refine_subset(p1, model, Sign.MINUS, kmax, nsteps)
+    if not sp or not sm:
+        raise NumericalError(
+            "eigenvalue subsets came back empty; widen --kmax")
+    # probe radii must stay inside the computed set, otherwise the
+    # counting ratio reports the truncation instead of the density
+    reach = min(max(abs(z) for _, z in sp), max(abs(z) for _, z in sm))
+    dens_radii = radii[radii <= reach]
+    clipped = len(dens_radii) < len(radii)
+    if len(dens_radii) < 2:
+        dens_radii = reach * np.array([0.125, 0.25, 0.5, 1.0]) * 0.98
+    density = tuple(
+        density_check(ZeroSet(zeros=[(z, 1) for _, z in pairs]), model.a,
+                      dens_radii, window=window) for pairs in (sp, sm))
+
+    ssp, snotes_p = sparse_subset(model, Sign.PLUS, b_plus, sp)
+    ssm, snotes_m = sparse_subset(model, Sign.MINUS, b_minus, sm)
+    if not ssp or not ssm:
+        raise NumericalError(
+            "rescaled-lattice subsets came back empty; widen --kmax "
+            "or enlarge the split")
+    return PartialDiagnostics(
+        indicator=ind, growth=growth, bounds=bounds, subsets=(sp, sm),
+        sparse=(ssp, ssm), notes=notes_p + notes_m + snotes_p + snotes_m,
+        density=density, reach=reach, clipped=clipped,
+        deviation=weighted_deviation(ssp, ssm, b_plus, b_minus, model),
+        critical=critical_diagnostics(p1, p2, b_plus, b_minus, (ssp, ssm),
+                                      t_schedule, nsteps=nsteps))

@@ -40,14 +40,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charfn import delta
 from .errors import (
     BranchAmbiguity,
     InconsistentInput,
     LimitNotConverged,
     OutOfDomain,
+    ValidationError,
     ZeroAtOrigin,
 )
-from .model import _csv_numbers, write_csv
+from .model import ReggeProblem, Sign, _csv_numbers, write_csv
 
 __all__ = [
     "ZeroSet",
@@ -57,6 +59,7 @@ __all__ = [
     "hadamard_build",
     "EvenMinusEvaluator",
     "even_delta_minus",
+    "even_minus",
     "delta0_from_pair",
     "two_spectra_robin",
 ]
@@ -107,9 +110,6 @@ class ZeroSet:
     @property
     def weights(self) -> np.ndarray:
         return np.array([m for _, m in self.zeros], dtype=float)
-
-    def count(self) -> int:
-        return self.order_at_origin + int(sum(m for _, m in self.zeros))
 
 
 def write_zeroset_csv(path: str, zs: ZeroSet) -> None:
@@ -572,6 +572,23 @@ def even_delta_minus(dplus, alpha: float, path) -> EvenMinusEvaluator:
     plus-sign one, as a branch-tracked evaluator along the given real
     path (a strictly increasing grid starting at 0)."""
     return EvenMinusEvaluator(dplus, alpha, np.asarray(path, dtype=float))
+
+
+def even_minus(p: ReggeProblem, path,
+               nsteps: int | None = None) -> EvenMinusEvaluator:
+    """even_delta_minus on p's own Delta_+, once p is checked to be even:
+    alpha0 = alpha and beta0 = beta to 1e-12, and a grid q equal to its
+    reverse to 1e-10 (1 + max |q|).  Raises ValidationError otherwise."""
+    if abs(p.alpha0 - p.alpha) > 1e-12 or abs(p.beta0 - p.beta) > 1e-12:
+        raise ValidationError(
+            "even mode needs matching ends: alpha0 = alpha, beta0 = beta")
+    q = p.potential
+    if q.kind not in ("zero", "constant"):
+        s = q.samples
+        if np.abs(s - s[::-1]).max() > 1e-10 * (1.0 + float(np.abs(s).max())):
+            raise ValidationError("even mode needs q(x) = q(a - x)")
+    return even_delta_minus(lambda z: delta(p, Sign.PLUS, z, nsteps=nsteps),
+                            p.alpha, path)
 
 
 # ---- pairwise combinations --------------------------------------------------

@@ -83,9 +83,9 @@ class Rectangle:
         return float(np.hypot(self.re_max - self.re_min,
                               self.im_max - self.im_min))
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.re_min - margin <= z.real <= self.re_max + margin
-                and self.im_min - margin <= z.imag <= self.im_max + margin)
+    def contains(self, z: complex) -> bool:
+        return (self.re_min <= z.real <= self.re_max
+                and self.im_min <= z.imag <= self.im_max)
 
     def quadrisect(self, shift: float = 0.0) -> list["Rectangle"]:
         """Four children that tile self, cut shift sides off the middle."""
@@ -96,12 +96,6 @@ class Rectangle:
                 Rectangle(cr, self.re_max, self.im_min, ci),
                 Rectangle(self.re_min, cr, ci, self.im_max),
                 Rectangle(cr, self.re_max, ci, self.im_max)]
-
-    def expanded(self, frac: float) -> "Rectangle":
-        dw = frac * (self.re_max - self.re_min)
-        dh = frac * (self.im_max - self.im_min)
-        return Rectangle(self.re_min - dw, self.re_max + dw,
-                         self.im_min - dh, self.im_max + dh)
 
 
 @dataclass
@@ -173,71 +167,51 @@ def _winding_multi(f, rects: list[Rectangle], samples_per_unit: float = 1.0):
     points of every rectangle at once.  Returns a list whose entries are
     either an int count or a _BoundaryZeroMark instance.
     """
-    state = []
+    # per rectangle: boundary parameters t in [0, 4) sampled so far (one
+    # unit per edge, counterclockwise), f there, t still to evaluate, and
+    # the result once known
+    ts = [np.empty(0)] * len(rects)
+    fs = [np.empty(0, dtype=complex)] * len(rects)
+    pending, result = [], [None] * len(rects)
     for r in rects:
-        # parameter t in [0, 4), one unit per edge, counterclockwise
         edge = max(r.re_max - r.re_min, r.im_max - r.im_min)
         n = max(_PER_EDGE, int(np.ceil(edge * samples_per_unit)))
-        ts = np.concatenate([e + np.arange(n) / n for e in range(4)])
-        state.append({"rect": r, "ts": ts, "fs": None, "done": None,
-                      "new_ts": ts})
+        pending.append(np.concatenate([e + np.arange(n) / n
+                                       for e in range(4)]))
     for _ in range(_MAX_ROUNDS + 1):
-        zs = [(_param_to_point(st["rect"], st["new_ts"]))
-              for st in state if st["done"] is None and len(st["new_ts"])]
-        if zs:
-            allpts = np.concatenate(zs)
-            allvals = _evaluate(f, allpts)
-            _require_finite(allvals, where="the winding contour")
-            off = 0
-            for st in state:
-                if st["done"] is None and len(st["new_ts"]):
-                    nnew = len(st["new_ts"])
-                    vals = allvals[off:off + nnew]
-                    off += nnew
-                    if st["fs"] is None:
-                        st["fs"] = vals
-                    else:
-                        st["ts"] = np.concatenate([st["ts"], st["new_ts"]])
-                        st["fs"] = np.concatenate([st["fs"], vals])
-                        order = np.argsort(st["ts"], kind="stable")
-                        st["ts"] = st["ts"][order]
-                        st["fs"] = st["fs"][order]
-                    st["new_ts"] = np.empty(0)
-        any_active = False
-        for st in state:
-            if st["done"] is not None:
-                continue
-            fs = st["fs"]
-            scale = np.max(np.abs(fs))
-            if scale == 0.0 or np.any(np.abs(fs) < _FLOOR_REL * scale):
-                st["done"] = _BoundaryZeroMark(
+        live = [i for i, res in enumerate(result) if res is None]
+        if not live:
+            break
+        vals = _evaluate(f, np.concatenate(
+            [_param_to_point(rects[i], pending[i]) for i in live]))
+        _require_finite(vals, where="the winding contour")
+        for i in live:
+            t = np.concatenate([ts[i], pending[i]])
+            order = np.argsort(t, kind="stable")
+            ts[i] = t[order]
+            fs[i] = np.concatenate([fs[i], vals[:len(pending[i])]])[order]
+            vals = vals[len(pending[i]):]
+            scale = np.max(np.abs(fs[i]))
+            if scale == 0.0 or np.any(np.abs(fs[i]) < _FLOOR_REL * scale):
+                result[i] = _BoundaryZeroMark(
                     f"boundary magnitude below {_FLOOR_REL:g} of scale")
                 continue
-            dphi = np.angle(np.roll(fs, -1) / fs)
+            dphi = np.angle(np.roll(fs[i], -1) / fs[i])
             bad = np.abs(dphi) >= 0.5 * np.pi
-            if not np.any(bad):
-                total = dphi.sum() / (2.0 * np.pi)
-                n = int(np.rint(total))
-                if abs(total - n) > 0.2:
-                    st["done"] = _BoundaryZeroMark(
-                        f"winding sum {total:.4f} not near an integer")
-                else:
-                    st["done"] = n
+            if np.any(bad):
+                t_next = np.roll(ts[i], -1)
+                t_next[-1] += 4.0
+                pending[i] = np.mod(0.5 * (ts[i][bad] + t_next[bad]), 4.0)
                 continue
-            ts_next = np.roll(st["ts"], -1)
-            ts_next[-1] += 4.0
-            st["new_ts"] = np.mod(0.5 * (st["ts"][bad] + ts_next[bad]), 4.0)
-            any_active = True
-        if not any_active:
-            break
-    out = []
-    for st in state:
-        if st["done"] is None:
-            st["done"] = _BoundaryZeroMark(
-                "phase increments still >= pi/2 after max refinement; "
-                "a zero sits on or next to the rectangle boundary")
-        out.append(st["done"])
-    return out
+            total = dphi.sum() / (2.0 * np.pi)
+            n = int(np.rint(total))
+            result[i] = (_BoundaryZeroMark(
+                f"winding sum {total:.4f} not near an integer")
+                if abs(total - n) > 0.2 else n)
+    return [_BoundaryZeroMark(
+        "phase increments still >= pi/2 after max refinement; "
+        "a zero sits on or next to the rectangle boundary")
+        if res is None else res for res in result]
 
 
 def winding_count(f, rect: Rectangle) -> int:

@@ -464,6 +464,16 @@ def test_reconstruct_even(tmp_path, capsys):
     cfg2 = _cfg(tmp_path, WORKED, "w.json")
     assert main(["reconstruct", "--mode", "even", "--config", cfg2,
                  "--lam-max", "6", "--out", str(out)]) == 2
+    # nor are matching ends with an asymmetric potential
+    ramp = dict(EVEN, potential={"type": "grid",
+                                 "samples": list(np.linspace(0.0, 1.0, 33)),
+                                 "interpolation": "linear"})
+    out.unlink()
+    assert main(["reconstruct", "--mode", "even", "--config",
+                 _cfg(tmp_path, ramp, "ramp.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "q(x) = q(a - x)" in err
+    assert not out.exists()
 
 
 def test_reconstruct_two_spectra(tmp_path, capsys):
@@ -510,6 +520,35 @@ def test_partial_requires_both_configs(tmp_path):
     c1, _ = _twin_cfgs(tmp_path)
     assert main(["partial", "--config", c1, "--split", "0.3",
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("asympt", ["--tol", "1e-3"]),
+    ("plot", ["--tol", "1e-3"]),
+    ("partial", ["--tol", "1e-3"]),
+    ("partial", ["--rect=-7,7,-1,2"]),
+    ("reconstruct", ["--kmax", "5"]),
+], ids=["asympt-tol", "plot-tol", "partial-tol", "partial-rect",
+        "reconstruct-kmax"])
+def test_subcommands_refuse_shared_flags_they_do_not_read(
+        tmp_path, capsys, command, flag):
+    """Each of these runs exits 0 without the flag; with it, argparse
+    refuses the flag by name instead of ignoring it."""
+    worked, even = _cfg(tmp_path, WORKED, "w.json"), _cfg(tmp_path, EVEN)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("re,im\n1.5,0.25\n")
+    c1, c2 = _twin_cfgs(tmp_path)
+    out = str(tmp_path / "out")
+    argv = {"asympt": ["--config", worked, "--kmax", "3"],
+            "plot": ["--in", str(pts)],
+            "partial": ["--config", c1, "--config2", c2, "--split", "0.3",
+                        "--kmax", "20", "--tsched", "30,60"],
+            "reconstruct": ["--mode", "even", "--config", even,
+                            "--lam-max", "6", "--samples", "33"]}[command]
+    assert main([command, *argv, "--out", out, *flag]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag[0].split("=")[0] in err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_plot_refuses_non_finite_points(tmp_path, capsys):

