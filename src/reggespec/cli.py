@@ -791,6 +791,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the shared flags each mode reads, for the subcommands whose parser
+# cannot see the mode: (mode flag, {mode: flags read})
+_MODE_FLAGS = {
+    "verify": ("which", {"identity": ("tol",), "energy": ("tol",),
+                         "wronskian": ("tol",),
+                         "symmetry": ("tol", "rect", "kmax"),
+                         "interlace": ()}),
+    "reconstruct": ("mode", {"hadamard": ("tol",), "even": ("tol",),
+                             "two-spectra": ("tol", "rect")}),
+}
+
+
+def _refuse_unread_flags(args) -> None:
+    """ValidationError naming a shared flag the chosen mode does not read."""
+    if args.command not in _MODE_FLAGS:
+        return
+    key, modes = _MODE_FLAGS[args.command]
+    mode = getattr(args, key)
+    for flag in ("tol", "rect", "kmax"):
+        if getattr(args, flag, None) is not None and flag not in modes[mode]:
+            raise ValidationError(
+                f"{args.command} --{key} {mode} does not read --{flag}")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -799,6 +823,7 @@ def main(argv=None) -> int:
         # fold that into the return-code contract for library callers
         return int(exc.code or 0)
     try:
+        _refuse_unread_flags(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

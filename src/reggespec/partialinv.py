@@ -203,7 +203,7 @@ def refine_subset(p: ReggeProblem, model: AsymptoticModel, sign: Sign,
     Newton starts at predicted_lambda for every index |j| <= kmax.
     Returns the kept pairs and a list of notes about dropped indices
     (non-convergence, zero eigenvalue, or collapse onto an already
-    claimed zero).
+    claimed zero), each prefixed with the subset's sign.
     """
     ks = lattice_indices(model, -kmax, kmax)
     seeds = np.array([predicted_lambda(model, sign, k) for k in ks])
@@ -212,15 +212,17 @@ def refine_subset(p: ReggeProblem, model: AsymptoticModel, sign: Sign,
         lambda z: delta_dot(p, sign, z, nsteps=nsteps), seeds)
     pairs = []
     notes = []
+    name = sign.name.lower()
     for k, z, ok in zip(ks, zs, conv):
         if not ok:
-            notes.append(f"j = {k} dropped: no convergence from the seed")
+            notes.append(f"{name} j = {k} dropped: no convergence from the "
+                         f"seed")
         elif abs(z) < 1e-12:
-            notes.append(f"j = {k} dropped: zero eigenvalue (degenerate "
-                         f"product factor)")
+            notes.append(f"{name} j = {k} dropped: zero eigenvalue "
+                         f"(degenerate product factor)")
         elif any(abs(w - z) <= 1e-8 * (1 + abs(z)) for _, w in pairs):
-            notes.append(f"j = {k} dropped: seed collapsed onto an already "
-                         f"claimed zero")
+            notes.append(f"{name} j = {k} dropped: seed collapsed onto an "
+                         f"already claimed zero")
         else:
             pairs.append((k, complex(z)))
     return pairs, notes
@@ -233,13 +235,15 @@ def sparse_subset(model: AsymptoticModel, sign: Sign, b_side: float,
     The critical-case hypothesis speaks about a subsequence close to
     the rescaled lattice, so the deviation sum and the zero product are
     built over this subset, not over consecutive indices.  Returns the
-    (j, lambda) pairs and notes about skipped indices.
+    (j, lambda) pairs and notes about skipped indices, each prefixed
+    with "sparse" and the subset's sign.
     """
     a = model.a
     lams = np.array([z for _, z in full_pairs])
     reach = float(np.abs(lams).max()) - 0.5 * math.pi / a
     pairs = []
     notes = []
+    name = f"sparse {sign.name.lower()}"
     taken: set = set()
     for j in lattice_indices(model, -len(full_pairs), len(full_pairs)):
         target = a * model.mu(sign, j) / b_side
@@ -247,10 +251,10 @@ def sparse_subset(model: AsymptoticModel, sign: Sign, b_side: float,
             continue
         i = int(np.argmin(np.abs(lams - target)))
         if abs(lams[i]) < 1e-9:
-            notes.append(f"sparse j = {j} skipped: nearest eigenvalue "
+            notes.append(f"{name} j = {j} skipped: nearest eigenvalue "
                          f"sits at the origin")
         elif i in taken:
-            notes.append(f"sparse j = {j} skipped: eigenvalue already "
+            notes.append(f"{name} j = {j} skipped: eigenvalue already "
                          f"claimed by a lower index")
         else:
             taken.add(i)

@@ -13,10 +13,15 @@ product at N zeros bends ln E(x) by -x^2 sum' 1/z_k^2 plus higher
 powers of x over the excluded zeros, which no short polynomial basis
 absorbs once x is large; since the excluded zeros continue the edge
 lattice of the supplied ones, that tail is restored analytically (a
-direct block of model factors plus Euler-Maclaurin power sums), and
+direct sum of model factors out to 50 |z| for each point, plus
+Euler-Maclaurin power sums beyond), and
 the sample fit against {1, 1/n, ln n / n, n, n^2} only has to pick up
 the genuine finite-size corrections of the limits plus the small
-lattice-model mismatch.  Second, shifting b by i m (integer m) leaves
+lattice-model mismatch.  Once built, a model serves points with
+|z| <= R/2, R the modulus of its 64th zero, from those zeros summed
+directly plus one stored power series in z for all the farther ones,
+supplied and continued; other points take the direct sums.  Second,
+shifting b by i m (integer m) leaves
 every sample at x = 2n pi + t0 unchanged (e^{i m x} is periodic), so
 the log-limit only determines Im b modulo 1; the true branch is
 recovered by checking which candidate makes c e^{bz} E(z)/z fit the
@@ -159,19 +164,30 @@ class HadamardModel:
     _vals: np.ndarray = field(default=None, repr=False)
     _wts: np.ndarray = field(default=None, repr=False)
     _rays: tuple = field(default=None, repr=False)
+    # far-field series (see _far_series): the first _near zeros are
+    # summed directly at |z| <= _radius / 2, all others through _series
+    _near: int = field(default=None, init=False, repr=False)
+    _radius: float = field(default=None, init=False, repr=False)
+    _series: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self._vals is None:
             self._vals, self._wts = _truncated(self.zeroset, self.truncation)
         if self._rays is None:
             self._rays = _tail_rays(self._vals)
+        self._near, self._radius, self._series = _far_series(
+            self._vals, self._wts, self._rays)
 
     def log_E(self, z) -> np.ndarray:
         """ln E(z) with the continued-lattice tail.
 
-        Raises OutOfDomain for a non-finite point or one beyond the
-        tail's reach (see _tail_reach), where the capped tail sum would
-        return a silently inaccurate value.
+        A point with |z| <= R/2 (R = _radius) sums its _near nearest
+        zeros directly and every other zero, supplied or continued,
+        through the far-field series; any other point sums all supplied
+        zeros directly plus _tail_log.  Each point's value depends on
+        that point alone.  Raises OutOfDomain for a non-finite point or
+        one beyond the tail's reach (see _tail_reach), where the capped
+        tail sum would return a silently inaccurate value.
         """
         z = np.asarray(z, dtype=complex)
         zmax = float(np.max(np.abs(z), initial=0.0))
@@ -180,8 +196,20 @@ class HadamardModel:
             raise OutOfDomain(
                 f"Hadamard model evaluated at |z| = {zmax:.6g}; it needs "
                 f"finite |z| <= {reach:.6g}, the reach of its lattice tail")
-        return (_log_E(z, self._vals, self._wts, self.zeroset.order_at_origin)
-                + _tail_log(z, self._rays))
+        zf = z.reshape(-1)
+        s = self.zeroset.order_at_origin
+        out = np.empty(zf.shape, dtype=complex)
+        near = np.abs(zf) <= 0.5 * self._radius
+        if near.any():
+            zn = zf[near]
+            k = self._near
+            out[near] = (_log_E(zn, self._vals[:k], self._wts[:k], s)
+                         + _horner(self._series, zn / self._radius))
+        if not near.all():
+            zd = zf[~near]
+            out[~near] = (_log_E(zd, self._vals, self._wts, s)
+                          + _tail_log(zd, self._rays))
+        return out.reshape(z.shape)
 
     def eval(self, z):
         """f(z): a complex for a scalar z, else an array of z's shape."""
@@ -196,18 +224,23 @@ class HadamardModel:
     __call__ = eval
 
 
-def _truncated(zs: ZeroSet, n: int):
-    vals, wts = zs.values, zs.weights
+def _leading(vals: np.ndarray, wts: np.ndarray, n: int) -> int:
+    """How many of the zeros (sorted by modulus) hold the first n counted
+    with multiplicity, extended across magnitude ties so symmetric
+    partners are not split; all of them when there are fewer."""
     if len(vals) == 0:
-        return vals, wts
-    counts = np.cumsum(wts)
-    idx = int(np.searchsorted(counts, n))
-    idx = min(idx, len(vals) - 1)
-    # extend across magnitude ties so symmetric partners are not split
+        return 0
+    idx = min(int(np.searchsorted(np.cumsum(wts), n)), len(vals) - 1)
     cut = abs(vals[idx])
     while idx + 1 < len(vals) and abs(vals[idx + 1]) <= cut * (1 + 1e-9):
         idx += 1
-    return vals[:idx + 1], wts[:idx + 1]
+    return idx + 1
+
+
+def _truncated(zs: ZeroSet, n: int):
+    vals, wts = zs.values, zs.weights
+    k = _leading(vals, wts, n)
+    return vals[:k], wts[:k]
 
 
 # zeros per block of the product sums; each point's sum adds the blocks
@@ -271,6 +304,11 @@ class _TailRay:
     def zero(self, j: np.ndarray) -> np.ndarray:
         return self.side * (self.start + j * self.step) + 1j * self.imag
 
+    @property
+    def c0(self) -> complex:
+        """zero(j) = side * step * (c0 + j)."""
+        return (self.start + 1j * self.side * self.imag) / self.step
+
 
 def _tail_rays(vals: np.ndarray) -> tuple[_TailRay, ...]:
     """Fit a lattice ray to the outer 48 zeros on each side of the
@@ -303,38 +341,91 @@ def _tail_reach(rays: tuple[_TailRay, ...]) -> float:
                 for ray in rays), default=math.inf)
 
 
-def _powsum(c0: complex, a: int, p: int) -> complex:
-    """Euler-Maclaurin value of sum_{j>=a} (c0+j)^-p for Re(c0+a) >> 1."""
+def _powsum(c0: complex, a, p: int, scale: float):
+    """Euler-Maclaurin value of sum_{j>=a} (scale (c0+j))^-p for
+    Re(c0+a) >> 1; a may be an array.  Written as (scale w)^-p times a
+    bracket, so the power stays in range when |scale w| is not small."""
     w = c0 + a
-    return (w ** (1 - p) / (p - 1) + w ** (-p) / 2.0
-            + p * w ** (-p - 1) / 12.0
-            - p * (p + 1) * (p + 2) * w ** (-p - 3) / 720.0)
+    return (scale * w) ** (-p) * (w / (p - 1) + 0.5 + p / (12.0 * w)
+                                  - p * (p + 1) * (p + 2) / (720.0 * w ** 3))
 
 
 def _tail_log(z: np.ndarray, rays: tuple[_TailRay, ...]) -> np.ndarray:
     """ln of the product over the continued-lattice zeros.
 
-    Factors up to j0 (chosen so |z| / |zero| <= 1/50 beyond it, capped
-    at _TAIL_CAP) are summed directly; the remainder uses the power
-    series of log1p through z^6 with Euler-Maclaurin sums of (c0+j)^-p,
-    so the O(1/j) decay of the quadratic term never has to be summed
-    term by term.
+    Each point sums factors directly up to its own j0 (the first j with
+    |z| / |zero| <= 1/50 beyond it, at least _BLOCK, rounded up to a
+    whole _BLOCK and capped at _TAIL_CAP); its remainder uses the power
+    series of log1p through z^6 with Euler-Maclaurin sums of (c0+j)^-p
+    from j0 + 1, so the O(1/j) decay of the quadratic term never has to
+    be summed term by term.  A point's value and cost do not depend on
+    the other points of the batch.
     """
     zf = z.reshape(-1)
     out = np.zeros(zf.shape, dtype=complex)
-    zmax = float(np.max(np.abs(zf))) if zf.size else 0.0
     for ray in rays:
-        j0 = max(4096, int(math.ceil((_TAIL_RATIO * zmax - ray.start)
-                                     / ray.step)))
-        j0 = min(j0, _TAIL_CAP)
-        for i in range(1, j0 + 1, _BLOCK):
-            _add_product_sum(out, zf, ray.zero(
-                np.arange(i, min(i + _BLOCK, j0 + 1), dtype=float)))
-        c0 = (ray.start + 1j * ray.side * ray.imag) / ray.step
+        need = (_TAIL_RATIO * np.abs(zf) - ray.start) / ray.step
+        j0 = np.minimum(_BLOCK * np.ceil(np.maximum(need, 1.0) / _BLOCK),
+                        _TAIL_CAP)
+        top = int(j0.max(initial=0))
+        # j0 is a multiple of _BLOCK or the cap: a point takes whole blocks
+        for i in range(1, top + 1, _BLOCK):
+            take = j0 >= i
+            part = out[take]
+            _add_product_sum(part, zf[take], ray.zero(
+                np.arange(i, min(i + _BLOCK, top + 1), dtype=float)))
+            out[take] = part
         for p in range(2, 7):
-            s_p = _powsum(c0, j0 + 1, p) * (ray.side * ray.step) ** (-p)
-            out -= zf ** p * (s_p / p)
+            out -= zf ** p * (_powsum(ray.c0, j0 + 1, p,
+                                      ray.side * ray.step) / p)
     return out.reshape(z.shape)
+
+
+# the far-field series: zeros past the _NEAR-th are summed as a power
+# series through z^_SERIES_ORDER at |z| <= R/2, R the _NEAR-th modulus;
+# each far zero's dropped terms sum to under 2^-55 / 56, about 5e-19
+_NEAR = 64
+_SERIES_ORDER = 55
+
+
+def _far_series(vals: np.ndarray, wts: np.ndarray,
+                rays: tuple[_TailRay, ...]):
+    """(n, R, a) such that, for |z| <= R/2, the factors of every zero but
+    the first n supplied ones sum to sum_{p=2..55} a[p] (z/R)^p.
+
+    R is the modulus of the _NEAR-th supplied zero, extended across
+    magnitude ties, and no larger than any ray's first continued zero,
+    so every far zero has |zeta| >= R and each log1p series converges
+    at ratio 1/2 or less.  a[p] = -(S_p + T_p) / p, with S_p the sum of
+    w (R/zeta)^p over the far supplied zeros and T_p the same over each
+    ray's continued zeros: direct for j <= _BLOCK, Euler-Maclaurin
+    beyond.  Scaling by R keeps every power below 1 in modulus.
+    """
+    n = _leading(vals, wts, _NEAR)
+    radius = min([abs(ray.zero(1)) for ray in rays]
+                 + ([abs(vals[n - 1])] if n else []), default=math.inf)
+    j = np.arange(1, _BLOCK + 1, dtype=float)
+    far = np.concatenate([vals[n:], *(ray.zero(j) for ray in rays)])
+    w = np.concatenate([wts[n:], np.ones(len(rays) * _BLOCK)])
+    r = radius / far
+    rp = r.copy()
+    coefs = np.zeros(_SERIES_ORDER + 1, dtype=complex)
+    for p in range(2, _SERIES_ORDER + 1):
+        rp *= r
+        total = complex(np.dot(w, rp))
+        for ray in rays:
+            total += _powsum(ray.c0, _BLOCK + 1, p,
+                             ray.side * ray.step / radius)
+        coefs[p] = -total / p
+    return n, radius, coefs
+
+
+def _horner(coefs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_{p>=2} coefs[p] u^p by Horner's rule, point by point."""
+    acc = np.full(u.shape, coefs[-1])
+    for a in coefs[-2:1:-1]:
+        acc = acc * u + a
+    return acc * u * u
 
 
 def _basis_fit(ns: np.ndarray, ys: np.ndarray) -> tuple[complex, np.ndarray]:

@@ -551,6 +551,51 @@ def test_subcommands_refuse_shared_flags_they_do_not_read(
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("b_plus, b_minus, subset", [
+    ("1.5", "0.3", "sparse plus"),
+    ("0.3", "1.5", "sparse minus"),
+])
+def test_partial_notes_name_their_subset(tmp_path, capsys, b_plus, b_minus,
+                                         subset):
+    """On the twin pair every note of an asymmetric run comes from the
+    rescaled-lattice subset of the larger share; each names it."""
+    c1, c2 = _twin_cfgs(tmp_path)
+    assert main(["partial", "--config", c1, "--config2", c2, "--kmax", "20",
+                 "--b-plus", b_plus, "--b-minus", b_minus,
+                 "--tsched", "30,60", "--out", str(tmp_path / "twin")]) == 0
+    notes = [line.strip() for line in capsys.readouterr().out.splitlines()
+             if line.strip().startswith("note:") and " j = " in line]
+    assert notes
+    assert all(n.startswith(f"note: {subset} j = ") for n in notes), notes
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--which", "identity", "--count", "3"], ["--rect=-7,7,-1,2"]),
+    (["verify", "--which", "identity", "--count", "3"], ["--kmax", "3"]),
+    (["verify", "--which", "interlace", "--tau-max", "2"], ["--tol", "1e-3"]),
+    (["reconstruct", "--mode", "hadamard"], ["--rect=-7,7,-1,2"]),
+], ids=["identity-rect", "identity-kmax", "interlace-tol", "hadamard-rect"])
+def test_modes_refuse_shared_flags_they_do_not_read(tmp_path, capsys, argv,
+                                                     flag):
+    """The subcommand takes these flags for some of its modes; a mode that
+    does not read one refuses it by name, before any work is done."""
+    worked = _cfg(tmp_path, WORKED)
+    zeros = tmp_path / "zeros.csv"
+    write_zeroset_csv(str(zeros), ZeroSet(
+        zeros=[(s * (k - 0.5) * math.pi, 1)
+               for k in range(1, 201) for s in (1.0, -1.0)],
+        order_at_origin=1))
+    out = str(tmp_path / "out.csv")
+    inputs = (["--zeros", str(zeros)] if argv[0] == "reconstruct"
+              else ["--config", worked])
+    assert main([*argv, *inputs, "--out", out]) == 0
+    capsys.readouterr()
+    assert main([*argv, *inputs, "--out", out + "2", *flag]) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[1]} {argv[2]} does not read {flag[0].split('=')[0]}" in err
+    assert not (tmp_path / "out.csv2").exists()
+
+
 def test_plot_refuses_non_finite_points(tmp_path, capsys):
     src = tmp_path / "pts.csv"
     src.write_text("k,re,im,multiplicity,residual\n"

@@ -289,6 +289,61 @@ def test_hadamard_log_E_does_not_depend_on_batch_shape(lattice_model):
     assert grid.ravel().tobytes() == whole[:399].tobytes()
 
 
+def test_hadamard_log_E_of_a_point_ignores_far_points_in_its_batch(
+        lattice_model):
+    """A far point in the batch changes neither the value of a near one
+    nor, through the lattice tail's direct sum, that of a point past
+    R/2 (about 49.5 here)."""
+    import reggespec.reconstruct as rc
+
+    for z in (1.0, 60.0 + 2.0j):
+        alone = lattice_model.log_E(np.array([z]))
+        mixed = lattice_model.log_E(np.array([z, 5e4]))
+        assert alone.tobytes() == mixed[:1].tobytes()
+        tail = rc._tail_log(np.array([z, 5e4]), lattice_model._rays)
+        assert (rc._tail_log(np.array([z]), lattice_model._rays).tobytes()
+                == tail[:1].tobytes())
+
+
+def test_hadamard_log_E_matches_a_30_digit_sum(lattice_model):
+    """ln E against mpmath at 30 digits: the supplied zeros summed factor
+    by factor, and each continued ray in closed form, ln Gamma(c)
+    - ln Gamma(c + x) + x psi(c) with c = c0 + 1 and x = -z / (side step)
+    (DLMF 5.8).
+
+    The points run from near the origin to either side of R/2, where
+    the far-field series hands over to the direct sums.  Up to
+    |ln E| = 10 they agree to 1e-14; near R/2, ln E is about 50, whose
+    float spacing is 7.1e-15, so there they agree to 1e-15 relative."""
+    mp = pytest.importorskip("mpmath")
+    m = lattice_model
+    assert m._radius == pytest.approx(31.5 * math.pi)
+    h = m._radius / 2.0
+    pts = np.array([0.3 + 0.1j, -2.0 + 0.5j, 7.25 - 1.5j]
+                   + [f * h * np.exp(1j * t) for f, t in
+                      ((0.999, 0.3), (0.999, 2.0), (1.001, 0.3),
+                       (1.001, -1.2), (1.01, 2.8), (1.2, -0.7))]
+                   + [-20.0 + 3.0j])
+    with mp.workdps(30):
+        want = []
+        for z in pts:
+            z = mp.mpc(z)
+            acc = m.zeroset.order_at_origin * mp.log(z)
+            for v, w in zip(m._vals, m._wts):
+                u = z / mp.mpc(v)
+                acc += w * (mp.log(1 - u) + u)
+            for ray in m._rays:
+                c = mp.mpc(ray.start, ray.side * ray.imag) / ray.step + 1
+                x = -z / (ray.side * mp.mpf(ray.step))
+                acc += mp.loggamma(c) - mp.loggamma(c + x) + x * mp.digamma(c)
+            want.append(complex(acc))
+    want = np.array(want)
+    got = m.log_E(pts)
+    assert np.sum(np.abs(pts) <= h) == 6
+    err = np.abs(got - want)
+    assert np.all(err <= 1e-15 * np.maximum(10.0, np.abs(want))), err
+
+
 def test_hadamard_eval_memory_does_not_grow_with_points(lattice_model):
     """Temporaries are bounded by the tile budget (1 MiB each), not by
     points x zeros: 201 and 401 points peak alike, under 8 MiB."""
